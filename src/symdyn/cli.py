@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on input or precondition violations, 3 on I/O
 failures. Angles are radians unless --degrees is given. CSV uses the schema
-n,x,y with %.17g decimal output and LF line endings.
+n,x,y with %.17g decimal output and LF line endings. Each command builds one
+record, which _emit prints as key = value text or as one --json line.
 """
 
 from __future__ import annotations
@@ -10,23 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from enum import Enum
 
 import numpy as np
 
-from .core import (
-    NotOrthogonalError,
-    NotSymmetricError,
-    NotTraceZeroError,
-    Point2,
-    Tolerance,
-    classify_orthogonal,
-    decompose,
-    matrix_from_params,
-)
+from .core import Point2, Tolerance, classify_orthogonal, decompose, matrix_from_params
 from .dynamics import (
     ConvergesTo,
-    DivergesToInfinity,
     Finite,
     Topology,
     classify_convergence,
@@ -52,38 +45,55 @@ def _rad(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _flat4(m) -> list[float]:
-    return [float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])]
-
-
-def _matrix_text(m) -> str:
-    return "[[{}, {}], [{}, {}]]".format(*(_fmt(v) for v in _flat4(m)))
-
-
-def _cardinality_text(card) -> str:
-    return f"Finite({card.size})" if isinstance(card, Finite) else "Infinite"
-
-
-def _cardinality_json(card) -> dict:
-    if isinstance(card, Finite):
-        return {"kind": "Finite", "size": card.size}
-    return {"kind": "Infinite"}
-
-
-def _verdict_text(v) -> str:
+def _text(v) -> str:
+    """The text form of one record value."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (int, float)):
+        return _fmt(v)
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, np.ndarray):
+        return "[{}]".format(", ".join(_text(row) for row in v))
+    if isinstance(v, Finite):
+        return f"Finite({v.size})"
     if isinstance(v, ConvergesTo):
         return f"ConvergesTo ({_fmt(v.limit.x)}, {_fmt(v.limit.y)})"
-    if isinstance(v, DivergesToInfinity):
-        return "DivergesToInfinity"
-    return "NotConvergent"
+    return type(v).__name__  # Infinite, NotConvergent, DivergesToInfinity
 
 
-def _verdict_json(v) -> dict:
+def _json(v):
+    """The JSON form of a record value that json cannot encode by itself."""
+    if isinstance(v, np.ndarray):
+        return v.ravel().tolist()
+    if isinstance(v, Point2):
+        return [v.x, v.y]
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, Finite):
+        return {"kind": "Finite", "size": v.size}
     if isinstance(v, ConvergesTo):
-        return {"kind": "ConvergesTo", "limit": [v.limit.x, v.limit.y]}
-    if isinstance(v, DivergesToInfinity):
-        return {"kind": "DivergesToInfinity"}
-    return {"kind": "NotConvergent"}
+        return {"kind": "ConvergesTo", "limit": v.limit}
+    return {"kind": type(v).__name__}  # Infinite, NotConvergent, DivergesToInfinity
+
+
+def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
+    """Print a command's record as one JSON object, or as key = value lines
+    without the json_only keys; a dict value prints as key[sub] = value lines.
+
+    JSON never holds NaN or Infinity: such a value raises ValueError, which
+    exits 2 before anything is printed.
+    """
+    if as_json:
+        print(json.dumps(record, default=_json, allow_nan=False))
+        return EXIT_OK
+    for key, value in record.items():
+        if key in json_only:
+            continue
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for sub, v in items:
+            print(f"{key}[{sub}] = {_text(v)}" if sub else f"{key} = {_text(v)}")
+    return EXIT_OK
 
 
 def orbit_csv(points) -> str:
@@ -97,15 +107,25 @@ def orbit_csv(points) -> str:
 def orbit_svg(points, axis: AxisLine, size: int = 600) -> str:
     """SVG 1.1 document: orbit polyline plus the reflection axis.
 
-    The viewport is fixed at size x size and scaled to the orbit bounding
-    box with 10 percent padding; points are joined in iteration order.
+    The viewport is fixed at size x size and scaled to the bounding box of
+    the finite points with 10 percent padding; they are joined in iteration
+    order, and points that overflowed are left out.
     """
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    finite = [p for p in points if math.isfinite(p.x) and math.isfinite(p.y)]
+    xs = [p.x for p in finite]
+    ys = [p.y for p in finite]
+    # Near either end of the float range the box would overflow or
+    # underflow, so there the coordinates are scaled by 2**-k, which is
+    # exact; k >= -1000 keeps the 2**-k fallback half-width finite.
+    k = math.frexp(max(-min(xs), max(xs), -min(ys), max(ys)))[1]
+    k = 0 if -512 < k < 512 else max(k, -1000)
+    if k:
+        xs = [math.ldexp(x, -k) for x in xs]
+        ys = [math.ldexp(y, -k) for y in ys]
     cx = 0.5 * (min(xs) + max(xs))
     cy = 0.5 * (min(ys) + max(ys))
     half = 0.5 * max(max(xs) - min(xs), max(ys) - min(ys))
-    half = half * 1.1 if half > 0.0 else 1.0
+    half = half * 1.1 if half > 0.0 else math.ldexp(1.0, -k)
     scale = (size / 2.0) / half
 
     def to_screen(x: float, y: float) -> tuple[float, float]:
@@ -114,10 +134,10 @@ def orbit_svg(points, axis: AxisLine, size: int = 600) -> str:
     reach = math.hypot(cx, cy) + 3.0 * half
     ax0 = to_screen(-reach * math.cos(axis.phi), -reach * math.sin(axis.phi))
     ax1 = to_screen(reach * math.cos(axis.phi), reach * math.sin(axis.phi))
-    poly = " ".join("{:.3f},{:.3f}".format(*to_screen(p.x, p.y)) for p in points)
+    poly = " ".join("{:.3f},{:.3f}".format(*to_screen(x, y)) for x, y in zip(xs, ys))
     dots = "\n".join(
-        '  <circle cx="{:.3f}" cy="{:.3f}" r="3" fill="#1f4e9c"/>'.format(*to_screen(p.x, p.y))
-        for p in points
+        '  <circle cx="{:.3f}" cy="{:.3f}" r="3" fill="#1f4e9c"/>'.format(*to_screen(x, y))
+        for x, y in zip(xs, ys)
     )
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -136,27 +156,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _params(tz, matrix) -> dict:
+    # The record of decompose and build.
+    return {"lambda": tz.lam, "theta": tz.theta, "axis": tz.axis_angle, "matrix": matrix}
+
+
 def cmd_decompose(args) -> int:
-    tol = Tolerance(args.tol)
-    tz = decompose(np.array(args.entries).reshape(2, 2), tol)
-    rebuilt = tz.matrix()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lambda": tz.lam,
-                    "theta": tz.theta,
-                    "axis": tz.axis_angle,
-                    "matrix": _flat4(rebuilt),
-                }
-            )
-        )
-    else:
-        print(f"lambda = {_fmt(tz.lam)}")
-        print(f"theta = {_fmt(tz.theta)}")
-        print(f"axis = {_fmt(tz.axis_angle)}")
-        print(f"matrix = {_matrix_text(rebuilt)}")
-    return EXIT_OK
+    tz = decompose(np.array(args.entries).reshape(2, 2), Tolerance(args.tol))
+    return _emit(_params(tz, tz.matrix()), args.json)
 
 
 def cmd_build(args) -> int:
@@ -167,24 +174,18 @@ def cmd_build(args) -> int:
     else:
         theta = 2.0 * _rad(args.axis, args.degrees)
     m = matrix_from_params(args.lam, theta)
-    tz = decompose(m, Tolerance(args.tol))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lambda": tz.lam,
-                    "theta": tz.theta,
-                    "axis": tz.axis_angle,
-                    "matrix": _flat4(m),
-                }
-            )
-        )
-    else:
-        print(f"lambda = {_fmt(tz.lam)}")
-        print(f"theta = {_fmt(tz.theta)}")
-        print(f"axis = {_fmt(tz.axis_angle)}")
-        print(f"matrix = {_matrix_text(m)}")
-    return EXIT_OK
+    return _emit(_params(decompose(m, Tolerance(args.tol)), m), args.json)
+
+
+def _start(args) -> Point2:
+    if not (math.isfinite(args.x) and math.isfinite(args.y)):
+        raise ValueError("start point must be finite")
+    return Point2(args.x, args.y)
+
+
+def _convergence(start: Point2, m: ReflectScale, tol: Tolerance) -> dict:
+    return {t.value: classify_convergence(start, m, t, tol).verdict
+            for t in (Topology.DISCRETE, Topology.USUAL)}
 
 
 def _orbit_map(args, tol: Tolerance) -> tuple[float, float]:
@@ -206,72 +207,33 @@ def cmd_orbit(args) -> int:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
     lam, phi = _orbit_map(args, tol)
     m = ReflectScale(lam, AxisLine(phi))
-    start = Point2(args.x, args.y)
+    start = _start(args)
     rec = orbit(start, m, args.iters, tol)
-    csv_text = orbit_csv(rec.points)
     if args.out:
-        _write_text(args.out, csv_text)
+        _write_text(args.out, orbit_csv(rec.points))
     if args.svg:
         _write_text(args.svg, orbit_svg(rec.points, m.axis))
-    conv_d = classify_convergence(start, m, Topology.DISCRETE, tol).verdict
-    conv_u = classify_convergence(start, m, Topology.USUAL, tol).verdict
-    if args.json:
-        record = {
-            "start": [start.x, start.y],
-            "lambda": lam,
-            "axis": phi,
-            "iters": args.iters,
-            "cardinality": _cardinality_json(rec.cardinality),
-            "convergence": {
-                "Discrete": _verdict_json(conv_d),
-                "Usual": _verdict_json(conv_u),
-            },
-            "csv": args.out,
-            "svg": args.svg,
-        }
-        if not args.out:
+    record = {"start": start, "lambda": lam, "axis": phi, "iters": args.iters,
+              "cardinality": rec.cardinality, "convergence": _convergence(start, m, tol),
+              "csv": args.out, "svg": args.svg}
+    if not args.out:
+        if args.json:
             record["points"] = [[i, p.x, p.y] for i, p in enumerate(rec.points)]
-        print(json.dumps(record))
-    else:
-        if not args.out:
-            sys.stdout.write(csv_text)
-        print(f"cardinality = {_cardinality_text(rec.cardinality)}")
-        print(f"convergence[Discrete] = {_verdict_text(conv_d)}")
-        print(f"convergence[Usual] = {_verdict_text(conv_u)}")
-    return EXIT_OK
+        else:
+            sys.stdout.write(orbit_csv(rec.points))
+    return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 
 
 def cmd_classify(args) -> int:
     tol = Tolerance(args.tol)
     phi = _rad(args.axis, args.degrees)
     m = ReflectScale(args.lam, AxisLine(phi))
-    start = Point2(args.x, args.y)
-    card = classify_orbit_cardinality(start, m, tol)
-    verdict = stable_set(start, args.lam)
-    conv_d = classify_convergence(start, m, Topology.DISCRETE, tol).verdict
-    conv_u = classify_convergence(start, m, Topology.USUAL, tol).verdict
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "start": [start.x, start.y],
-                    "lambda": args.lam,
-                    "axis": phi,
-                    "cardinality": _cardinality_json(card),
-                    "stable_set": verdict.value,
-                    "convergence": {
-                        "Discrete": _verdict_json(conv_d),
-                        "Usual": _verdict_json(conv_u),
-                    },
-                }
-            )
-        )
-    else:
-        print(f"cardinality = {_cardinality_text(card)}")
-        print(f"stable_set = {verdict.value}")
-        print(f"convergence[Discrete] = {_verdict_text(conv_d)}")
-        print(f"convergence[Usual] = {_verdict_text(conv_u)}")
-    return EXIT_OK
+    start = _start(args)
+    record = {"start": start, "lambda": args.lam, "axis": phi,
+              "cardinality": classify_orbit_cardinality(start, m, tol),
+              "stable_set": stable_set(start, args.lam),
+              "convergence": _convergence(start, m, tol)}
+    return _emit(record, args.json, ("start", "lambda", "axis"))
 
 
 def cmd_compose(args) -> int:
@@ -282,29 +244,10 @@ def cmd_compose(args) -> int:
     product = rotation_matrix(alpha, direction) @ matrix_from_params(1.0, theta)
     target = matrix_from_params(1.0, gamma)
     residual = float(np.max(np.abs(product - target)))
-    verified = residual <= 1e-12
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "alpha": alpha,
-                    "theta": theta,
-                    "direction": direction.value,
-                    "gamma": gamma,
-                    "product": _flat4(product),
-                    "reflection": _flat4(target),
-                    "residual": residual,
-                    "verified": verified,
-                }
-            )
-        )
-    else:
-        print(f"gamma = {_fmt(gamma)}")
-        print(f"product = {_matrix_text(product)}")
-        print(f"reflection = {_matrix_text(target)}")
-        print(f"residual = {_fmt(residual)}")
-        print(f"verified = {str(verified).lower()}")
-    return EXIT_OK
+    record = {"alpha": alpha, "theta": theta, "direction": direction, "gamma": gamma,
+              "product": product, "reflection": target, "residual": residual,
+              "verified": residual <= 1e-12}
+    return _emit(record, args.json, ("alpha", "theta", "direction"))
 
 
 def cmd_psym(args) -> int:
@@ -323,15 +266,9 @@ def cmd_psym(args) -> int:
         raise ValueError(f"expected {n * n} entries after the dimension, got {len(tokens) - 1}")
     values = [float(t) for t in tokens[1:]]
     a = SymMatN.from_matrix(np.array(values).reshape(n, n), tol)
-    member = is_in_psym(a, tol)
-    if member:
+    if is_in_psym(a, tol):
         c = float(np.trace(a.to_matrix())) / n
-        if args.json:
-            print(json.dumps({"member": True, "n": n, "c": c}))
-        else:
-            print("member = true")
-            print(f"c = {_fmt(c)}")
-        return EXIT_OK
+        return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     thresh = tol.eps * (1.0 + a.frobenius_norm())
     witness = None
     value = 0.0
@@ -341,25 +278,13 @@ def cmd_psym(args) -> int:
             witness = basis_elem
             break
     assert witness is not None
-    flat = [float(v) for v in witness.to_matrix().ravel()]
-    if args.json:
-        print(json.dumps({"member": False, "n": n, "witness": flat, "trace": value}))
-    else:
-        print("member = false")
-        print("witness = [{}]".format(", ".join(_fmt(v) for v in flat)))
-        print(f"trace = {_fmt(value)}")
-    return EXIT_OK
+    record = {"member": False, "n": n, "witness": witness.to_matrix().ravel(), "trace": value}
+    return _emit(record, args.json, ("n",))
 
 
 def cmd_ortho_classify(args) -> int:
-    tol = Tolerance(args.tol)
-    o = classify_orthogonal(np.array(args.entries).reshape(2, 2), tol)
-    if args.json:
-        print(json.dumps({"variant": o.variant.value, "angle": o.angle}))
-    else:
-        print(f"variant = {o.variant.value}")
-        print(f"angle = {_fmt(o.angle)}")
-    return EXIT_OK
+    o = classify_orthogonal(np.array(args.entries).reshape(2, 2), Tolerance(args.tol))
+    return _emit({"variant": o.variant, "angle": o.angle}, args.json)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -367,8 +292,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form, such as -2e-05, as a value,
+    not as an option, as Python 3.12 and later do; its subparsers inherit it."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symdyn",
         description="Scaled planar reflections: decomposition, orbits, classification.",
     )
@@ -448,7 +382,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
         return args.func(args)
-    except (NotSymmetricError, NotTraceZeroError, NotOrthogonalError, ValueError) as exc:
+    except ValueError as exc:  # NotSymmetricError and the other input errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

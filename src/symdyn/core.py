@@ -35,6 +35,7 @@ class Tolerance:
 
     x and y count as equal when |x - y| <= eps * (1 + max(|x|, |y|)),
     which behaves absolutely near zero and relatively for large values.
+    Values whose difference is not finite are never close.
     """
 
     eps: float = 1e-9
@@ -44,7 +45,8 @@ class Tolerance:
             raise ValueError("eps must be a positive finite real")
 
     def close(self, x: float, y: float) -> bool:
-        return abs(x - y) <= self.eps * (1.0 + max(abs(x), abs(y)))
+        d = abs(x - y)
+        return math.isfinite(d) and d <= self.eps * (1.0 + max(abs(x), abs(y)))
 
 
 DEFAULT_TOL = Tolerance()

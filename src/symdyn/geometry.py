@@ -49,6 +49,10 @@ class ReflectScale:
     lam: float
     axis: AxisLine
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.lam):
+            raise ValueError("lam must be finite")
+
     def matrix(self) -> np.ndarray:
         t = 2.0 * self.axis.phi
         c, s = math.cos(t), math.sin(t)

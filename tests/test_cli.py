@@ -1,12 +1,15 @@
 import json
 import math
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from symdyn.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -333,3 +336,178 @@ def test_unknown_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["orbit", "--help"]) == 0
+
+
+# --- full output bytes, text and JSON ---------------------------------------------------
+
+# stdout of every command in both forms, and of both psym outcomes; text and
+# JSON are rendered from one record, so each pair pins the same values twice.
+PINNED = [
+    (("decompose", "3", "4", "4", "-3"),
+     "lambda = 5\ntheta = 0.92729521800161219\naxis = 0.46364760900080609\n"
+     "matrix = [[3.0000000000000004, 3.9999999999999996], "
+     "[3.9999999999999996, -3.0000000000000004]]\n",
+     '{"lambda": 5.0, "theta": 0.9272952180016122, "axis": 0.4636476090008061, '
+     '"matrix": [3.0000000000000004, 3.9999999999999996, 3.9999999999999996, '
+     '-3.0000000000000004]}\n'),
+    (("build", "5", "--theta", "0.9272952180016122"),
+     "lambda = 5\ntheta = 0.92729521800161208\naxis = 0.46364760900080604\n"
+     "matrix = [[3.0000000000000004, 3.9999999999999996], "
+     "[3.9999999999999996, -3.0000000000000004]]\n",
+     '{"lambda": 5.0, "theta": 0.9272952180016121, "axis": 0.46364760900080604, '
+     '"matrix": [3.0000000000000004, 3.9999999999999996, 3.9999999999999996, '
+     '-3.0000000000000004]}\n'),
+    (("build", "2", "--axis", "30", "--degrees"),
+     "lambda = 2\ntheta = 1.0471975511965976\naxis = 0.52359877559829882\n"
+     "matrix = [[1.0000000000000002, 1.7320508075688772], "
+     "[1.7320508075688772, -1.0000000000000002]]\n",
+     '{"lambda": 2.0, "theta": 1.0471975511965976, "axis": 0.5235987755982988, '
+     '"matrix": [1.0000000000000002, 1.7320508075688772, 1.7320508075688772, '
+     '-1.0000000000000002]}\n'),
+    (("orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3927", "--iters", "3"),
+     "n,x,y\n0,1,0\n1,0.35355274125561814,0.35355403992973677\n2,0.24999999999999997,0\n"
+     "3,0.088388185313904521,0.08838850998243418\ncardinality = Infinite\n"
+     "convergence[Discrete] = NotConvergent\nconvergence[Usual] = ConvergesTo (0, 0)\n",
+     '{"start": [1.0, 0.0], "lambda": 0.5, "axis": 0.3927, "iters": 3, '
+     '"cardinality": {"kind": "Infinite"}, "convergence": {"Discrete": '
+     '{"kind": "NotConvergent"}, "Usual": {"kind": "ConvergesTo", "limit": [0.0, 0.0]}}, '
+     '"csv": null, "svg": null, "points": [[0, 1.0, 0.0], '
+     '[1, 0.35355274125561814, 0.3535540399297368], [2, 0.24999999999999997, 0.0], '
+     '[3, 0.08838818531390452, 0.08838850998243418]]}\n'),
+    (("orbit", "1", "1", "--lambda", "1", "--axis", "0.7853981634", "--iters", "2"),
+     "n,x,y\n0,1,1\n1,0.99999999999489664,1.0000000000051035\n2,1,1\n"
+     "cardinality = Finite(1)\nconvergence[Discrete] = ConvergesTo (1, 1)\n"
+     "convergence[Usual] = ConvergesTo (1, 1)\n",
+     '{"start": [1.0, 1.0], "lambda": 1.0, "axis": 0.7853981634, "iters": 2, '
+     '"cardinality": {"kind": "Finite", "size": 1}, "convergence": {"Discrete": '
+     '{"kind": "ConvergesTo", "limit": [1.0, 1.0]}, "Usual": {"kind": "ConvergesTo", '
+     '"limit": [1.0, 1.0]}}, "csv": null, "svg": null, "points": [[0, 1.0, 1.0], '
+     '[1, 0.9999999999948966, 1.0000000000051035], [2, 1.0, 1.0]]}\n'),
+    (("classify", "3", "4", "--lambda", "0.9", "--axis", "1.1"),
+     "cardinality = Infinite\nstable_set = WholePlane\nconvergence[Discrete] = NotConvergent\n"
+     "convergence[Usual] = ConvergesTo (0, 0)\n",
+     '{"start": [3.0, 4.0], "lambda": 0.9, "axis": 1.1, "cardinality": {"kind": "Infinite"}, '
+     '"stable_set": "WholePlane", "convergence": {"Discrete": {"kind": "NotConvergent"}, '
+     '"Usual": {"kind": "ConvergesTo", "limit": [0.0, 0.0]}}}\n'),
+    (("classify", "1", "0", "--lambda", "-1", "--axis", "0.3"),
+     "cardinality = Finite(2)\nstable_set = SingletonSelf\n"
+     "convergence[Discrete] = NotConvergent\nconvergence[Usual] = NotConvergent\n",
+     '{"start": [1.0, 0.0], "lambda": -1.0, "axis": 0.3, '
+     '"cardinality": {"kind": "Finite", "size": 2}, "stable_set": "SingletonSelf", '
+     '"convergence": {"Discrete": {"kind": "NotConvergent"}, '
+     '"Usual": {"kind": "NotConvergent"}}}\n'),
+    (("compose", "--alpha", "1.0471975512", "--theta", "1.5707963268", "--acw"),
+     "gamma = 2.6179938780000001\n"
+     "product = [[-0.86602540378869153, 0.49999999999263384], "
+     "[0.49999999999263384, 0.86602540378869153]]\n"
+     "reflection = [[-0.86602540378869153, 0.49999999999263384], "
+     "[0.49999999999263384, 0.86602540378869153]]\nresidual = 0\nverified = true\n",
+     '{"alpha": 1.0471975512, "theta": 1.5707963268, "direction": "Anticlockwise", '
+     '"gamma": 2.617993878, "product": [-0.8660254037886915, 0.49999999999263384, '
+     '0.49999999999263384, 0.8660254037886915], "reflection": [-0.8660254037886915, '
+     '0.49999999999263384, 0.49999999999263384, 0.8660254037886915], "residual": 0.0, '
+     '"verified": true}\n'),
+    (("psym", "member.txt"),
+     "member = true\nc = 2\n",
+     '{"member": true, "n": 2, "c": 2.0}\n'),
+    (("psym", "witness.txt"),
+     "member = false\nwitness = [1, 0, 0, 0, -1, 0, 0, 0, 0]\ntrace = -1\n",
+     '{"member": false, "n": 3, "witness": [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0], '
+     '"trace": -1.0}\n'),
+    (("ortho-classify", "0", "1", "1", "0"),
+     "variant = Reflection\nangle = 1.5707963267948966\n",
+     '{"variant": "Reflection", "angle": 1.5707963267948966}\n'),
+    (("ortho-classify", "0", "-1", "1", "0"),
+     "variant = Rotation\nangle = 4.7123889803846897\n",
+     '{"variant": "Rotation", "angle": 4.71238898038469}\n'),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv,text,js", PINNED, ids=[" ".join(c[0][:2]) for c in PINNED])
+def test_output_bytes_are_pinned(capsys, tmp_path, argv, text, js, as_json):
+    (tmp_path / "member.txt").write_text("2\n2 0\n0 2\n")
+    (tmp_path / "witness.txt").write_text("3\n1 0 0\n0 2 0\n0 0 1\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert out == (js if as_json else text)
+
+
+# --- non-finite inputs and overflow -------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("orbit", "nan", "0", "--lambda", "0.5", "--axis", "0.3", "--json"), "start point"),
+    (("classify", "1", "1", "--lambda", "inf", "--axis", "0.3"), "lam must be finite"),
+    (("decompose", "1e308", "0", "0", "1e308"), "trace"),
+    (("ortho-classify", "1e200", "0", "0", "1e200"), "orthonormal"),
+    (("orbit", "1", "0", "--lambda", "1e200", "--axis", "0.3", "--iters", "5", "--json"),
+     "JSON"),
+], ids=["orbit-nan-start", "classify-inf-scale", "decompose-inf-trace",
+        "ortho-classify-inf-gram", "orbit-json-overflow"])
+def test_nonfinite_input_or_result_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "1", "0", "--from-matrix", "1e-5", "-2e-05", "-2e-05", "-1e-5", "--iters", "4"),
+    ("classify", "1", "-1e-3", "--lambda", "0.5", "--axis", "0.3"),
+    ("build", "2", "--theta", "-1.5e-3"),
+])
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+def test_negative_infinity_is_still_not_a_value(capsys):
+    code, _, err = run(capsys, "build", "2", "--theta", "-inf")
+    assert code == 2
+    assert "expected one argument" in err
+
+
+def test_decompose_output_round_trips_in_exponent_form(capsys, tmp_path):
+    # %.17g prints 2e-05 in exponent form, and --from-matrix must read it back.
+    entries = ("1e-5", "-2e-05", "-2e-05", "-1e-5")
+    code, out, _ = run(capsys, "decompose", *entries)
+    assert code == 0
+    printed = out.split("matrix = ")[1].replace("[", "").replace("]", "").split(", ")
+    assert any(v.startswith("-") and "e" in v for v in printed)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(capsys, "orbit", "1", "0", "--from-matrix", *entries, "--out", str(a))[0] == 0
+    assert run(capsys, "orbit", "1", "0", "--from-matrix", *(v.strip() for v in printed),
+               "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("1", "0", "--lambda", "1e200", "--axis", "0.3", "--iters", "5"),
+    ("1", "0", "--lambda", "2", "--axis", "0.3", "--iters", "1100"),
+    ("1e-310", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "3"),
+], ids=["huge-scale", "overflow-to-inf", "subnormal-start"])
+def test_orbit_svg_has_only_finite_coordinates(capsys, tmp_path, argv):
+    svg = tmp_path / "o.svg"
+    code, _, err = run(capsys, "orbit", *argv, "--out", str(tmp_path / "o.csv"),
+                       "--svg", str(svg))
+    assert code == 0, err
+    text = svg.read_text()
+    assert "<polyline" in text
+    assert "nan" not in text and "inf" not in text
+
+
+# --- scripts ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("script,args", [
+    ("orbit_gallery.py", ["--outdir", "{tmp}"]),
+    ("contraction_rates.py", []),
+])
+def test_script_runs(tmp_path, script, args):
+    argv = [sys.executable, str(ROOT / "scripts" / script)]
+    argv += [a.replace("{tmp}", str(tmp_path / "out")) for a in args]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -219,6 +219,22 @@ def test_tolerance_validates():
     assert t.close(1e9, 1e9 + 100.0)  # relative for large values
 
 
+@pytest.mark.parametrize("x,y", [(math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf),
+                                 (math.nan, 0.0)])
+def test_close_is_false_when_the_difference_is_not_finite(x, y):
+    assert not core.Tolerance().close(x, y)
+
+
+def test_overflowing_entries_are_rejected_not_accepted():
+    # The trace 2e308 and the Gram diagonal 1e400 overflow to inf, which
+    # once compared close to 0 and 1.
+    with np.errstate(over="ignore"):
+        with pytest.raises(core.NotTraceZeroError):
+            core.decompose([[1e308, 0.0], [0.0, 1e308]])
+        with pytest.raises(core.NotOrthogonalError):
+            core.classify_orthogonal([[1e200, 0.0], [0.0, 1e200]])
+
+
 def test_trace_zero_sym2_canonicalizes():
     tz = core.TraceZeroSym2(-2.0, 0.5)
     assert tz.lam == 2.0

@@ -206,3 +206,9 @@ def test_axis_and_opposite_axis_reflect_alike():
 def test_axis_rejects_nonfinite():
     with pytest.raises(ValueError):
         AxisLine(math.inf)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_reflect_scale_rejects_nonfinite_scale(lam):
+    with pytest.raises(ValueError):
+        ReflectScale(lam, AxisLine(0.3))
