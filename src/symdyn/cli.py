@@ -209,6 +209,13 @@ def cmd_orbit(args) -> int:
     m = ReflectScale(lam, AxisLine(phi))
     start = _start(args)
     rec = orbit(start, m, args.iters, tol)
+    if args.json and not args.out:
+        # The record will carry the points, so fail before any file is
+        # written; a non-finite point cannot come before truncated_at.
+        for n in range(rec.truncated_at, len(rec.points)):
+            p = rec.points[n]
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(f"orbit point {n} is not finite, so JSON cannot hold it")
     if args.out:
         _write_text(args.out, orbit_csv(rec.points))
     if args.svg:

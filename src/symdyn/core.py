@@ -177,16 +177,17 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     precondition beyond tol. Matrices whose scale falls at or below tol.eps
     collapse to the canonical zero element (0, 0).
     """
-    arr = _as_matrix2(m)
-    if not tol.close(arr[0, 1], arr[1, 0]):
-        raise NotSymmetricError(
-            f"not symmetric: off-diagonal entries {arr[0, 1]} and {arr[1, 0]} differ"
-        )
-    trace = arr[0, 0] + arr[1, 1]
+    # Python floats overflow to inf without a numpy warning, and halving
+    # before subtracting, which is exact for normal entries, keeps the
+    # half-difference finite wherever it is representable.
+    (x, p), (q, y) = _as_matrix2(m).tolist()
+    if not tol.close(p, q):
+        raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
+    trace = x + y
     if not tol.close(trace, 0.0):
         raise NotTraceZeroError(f"not trace zero: trace is {trace}")
-    a = 0.5 * (arr[0, 0] - arr[1, 1])
-    b = 0.5 * (arr[0, 1] + arr[1, 0])
+    a = 0.5 * x - 0.5 * y
+    b = 0.5 * p + 0.5 * q
     lam = math.hypot(a, b)
     if lam <= tol.eps:
         return TraceZeroSym2(0.0, 0.0)
@@ -201,7 +202,8 @@ def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:
     whose determinant is near neither +1 nor -1 is rejected, never guessed.
     """
     arr = _as_matrix2(m)
-    g = arr.T @ arr
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the checks below
+        g = arr.T @ arr
     ok = (
         tol.close(g[0, 0], 1.0)
         and tol.close(g[1, 1], 1.0)

@@ -10,9 +10,9 @@ and the orbit iterator cross-checks them empirically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class OrbitRecord:
     """Trace of iterating a reflect-then-scale map from a start point.
 
     points[0] is the start and points[n + 1] = apply_T(map, points[n]).
+    truncated_at is the first n whose points[n] is not a normal float (its
+    norm is below sys.float_info.min, infinite or nan), or the step count
+    when every point is normal; revisits are looked for only before it.
     cardinality is the empirical distinct-point count when a revisit was
     observed, otherwise the closed-form classification.
     """
@@ -81,6 +84,10 @@ class OrbitRecord:
 
 def _is_origin(p: Point2, tol: Tolerance) -> bool:
     return tol.close(p.norm(), 0.0)
+
+
+def _is_normal(norm: float) -> bool:
+    return sys.float_info.min <= norm < math.inf
 
 
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
@@ -134,65 +141,47 @@ def classify_orbit_cardinality(
     return Infinite()
 
 
-_SCAN_WINDOW = 64
-
-
 def orbit(
     p: Point2, m: ReflectScale, max_iter: int, tol: Tolerance = DEFAULT_TOL
 ) -> OrbitRecord:
     """Iterate the map max_iter times from p, recording every point.
 
-    A revisit is a new point within eps * max(|new|, |old|) of an earlier
-    one; the radius scales with the points themselves so that contracting
-    or expanding orbits never alias. With a revisit observed the empirical
-    distinct count is reported; otherwise the closed-form classification
-    is authoritative.
-
-    Short traces are scanned against the full history; long ones against
-    the first and the most recent window of points, which keeps million
-    step traces linear while still catching any cycle far shorter than the
-    window (true cycles here have period at most 2).
+    The n-th power of the map is lam**n times the identity or the
+    reflection, so a true cycle has period 1 or 2: each new point is
+    compared only with the previous point and the one before it. It
+    revisits one of them when it lies within eps * max(|new|, |old|); the
+    radius scales with the points themselves so that contracting or
+    expanding orbits never alias. Comparisons stop at truncated_at, the
+    first point that is not a normal float, because past it an underflowed
+    or overflowed iterate says nothing about the exact orbit. With a
+    revisit observed the empirical distinct count is reported; otherwise
+    the closed-form classification is authoritative.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
     eps = tol.eps
-    xs = [p.x]
-    ys = [p.y]
-    norms = [p.norm()]
+    points = [p]
+    truncated_at = max_iter if _is_normal(p.norm()) else 0
     distinct = 1
     revisit = False
-    cur = p
-    for _ in range(max_iter):
-        cur = apply_T(m, cur)
-        cx, cy = cur.x, cur.y
-        nrm = math.hypot(cx, cy)
-        count = len(xs)
-        if count <= 2 * _SCAN_WINDOW:
-            candidates = range(count)
-        else:
-            candidates = chain(range(_SCAN_WINDOW), range(count - _SCAN_WINDOW, count))
-        hit = False
-        for j in candidates:
-            dx = cx - xs[j]
-            dy = cy - ys[j]
-            rad = eps * (norms[j] if norms[j] > nrm else nrm)
-            if dx * dx + dy * dy <= rad * rad:
-                hit = True
-                break
-        if hit:
-            revisit = True
-        else:
-            distinct += 1
-        xs.append(cx)
-        ys.append(cy)
-        norms.append(nrm)
-    points = tuple(Point2(x, y) for x, y in zip(xs, ys))
+    for n in range(1, max_iter + 1):
+        cur = apply_T(m, points[-1])
+        if n <= truncated_at:
+            nrm = cur.norm()
+            if not _is_normal(nrm):
+                truncated_at = n
+            elif any(cur.distance_to(q) <= eps * max(nrm, q.norm()) for q in points[-2:]):
+                revisit = True
+            else:
+                distinct += 1
+        points.append(cur)
     card: Finite | Infinite
     if revisit:
         card = Finite(distinct)
     else:
         card = classify_orbit_cardinality(p, m, tol)
-    return OrbitRecord(start=p, map=m, points=points, cardinality=card, truncated_at=max_iter)
+    return OrbitRecord(start=p, map=m, points=tuple(points), cardinality=card,
+                       truncated_at=truncated_at)
 
 
 def classify_convergence(

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -451,6 +452,33 @@ def test_nonfinite_input_or_result_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_orbit_json_overflow_writes_no_file(capsys, tmp_path):
+    svg = tmp_path / "s.svg"
+    code, out, err = run(capsys, "orbit", "1", "0", "--lambda", "1e200", "--axis", "0.3",
+                         "--iters", "5", "--svg", str(svg), "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: orbit point 2 is not finite, so JSON cannot hold it\n"
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv,code,first", [
+    (("decompose", "1e308", "0", "0", "1e308"), 2, "error: not trace zero"),
+    (("decompose", "0", "1e308", "-1e308", "0"), 2, "error: not symmetric"),
+    (("ortho-classify", "1e200", "0", "0", "1e200"), 2, "error: columns are not orthonormal"),
+    (("decompose", "1e308", "0", "0", "-1e308"), 0, "lambda = 1e+308\ntheta = 0\n"),
+], ids=["inf-trace", "inf-asymmetry", "inf-gram", "huge-half-difference"])
+def test_overflowing_matrix_prints_no_warning(argv, code, first):
+    # a process of its own, so a numpy warning would reach the stderr a user sees
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-W", "default", "-m", "symdyn", *argv],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert res.returncode == code
+    shown, other = (res.stderr, res.stdout) if code else (res.stdout, res.stderr)
+    assert shown.startswith(first)
+    assert other == ""
+    assert res.stderr.count("\n") == (1 if code else 0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -180,14 +180,45 @@ def test_orbit_rejects_zero_iterations():
 
 
 def test_orbit_long_traces_use_windowed_scan():
-    # beyond the full-history threshold the scan narrows to the first and
-    # most recent points; period-2 revisits and generic no-revisit verdicts
-    # must survive that switch
+    # each point is compared only with the previous two, which must catch
+    # period-2 revisits and keep generic no-revisit verdicts over long traces
     rec = dynamics.orbit(Point2(1.0, 0.0), _mk(1.0, math.pi / 4.0), 2000)
     assert rec.cardinality == Finite(2)
     rec = dynamics.orbit(Point2(1.0, 0.3), _mk(-1.2, 0.7), 2000)
     assert rec.cardinality == Infinite()
     assert len(rec.points) == 2001
+
+
+@pytest.mark.parametrize("lam,max_iter,truncated_at", [
+    (0.5, 1100, 1023),
+    (2.0, 1100, 1024),
+    (0.9, 5000, 5000),
+    (1e200, 5, 2),
+])
+def test_orbit_leaving_the_normal_floats_fakes_no_revisit(lam, max_iter, truncated_at):
+    # squared distances underflow below |p| ~ 1e-154 and overflow above
+    # ~ 1e154, and iterates past 2**-1022 or 2**1024 are no longer normal
+    # floats; none of these may pass for a cycle
+    rec = dynamics.orbit(Point2(1.0, 0.0), _mk(lam, 0.3), max_iter)
+    assert rec.cardinality == Infinite()
+    assert rec.truncated_at == truncated_at
+    assert len(rec.points) == max_iter + 1
+
+
+def test_orbit_truncates_at_a_start_that_is_not_normal():
+    rec = dynamics.orbit(Point2(1e-310, 0.0), _mk(1e10, 0.3), 5)
+    assert rec.cardinality == Finite(1)
+    assert rec.truncated_at == 0
+
+
+def test_orbit_revisits_the_point_before_the_previous_one():
+    # 1e-11 off the axis is on it within tol, so the closed form says
+    # Finite(1); each reflection moves the point 2e-11, past the revisit
+    # radius 1e-9 * |p|, so only the point two back is revisited
+    p = Point2(1e-3, 1e-11)
+    m = _mk(1.0, 0.0)
+    assert dynamics.classify_orbit_cardinality(p, m) == Finite(1)
+    assert dynamics.orbit(p, m, 10).cardinality == Finite(2)
 
 
 @settings(max_examples=100)
