@@ -96,55 +96,59 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     return EXIT_OK
 
 
-def orbit_csv(points) -> str:
-    """CSV text for an orbit trace: header n,x,y then one row per point."""
-    lines = ["n,x,y"]
-    for i, p in enumerate(points):
-        lines.append(f"{i},{_fmt(p.x)},{_fmt(p.y)}")
-    return "\n".join(lines) + "\n"
+def orbit_csv(xs, ys) -> str:
+    """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as
+    in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
+    rows = zip(range(len(xs)), xs, ys)
+    return "n,x,y\n" + "".join(["%d,%.17g,%.17g\n" % row for row in rows])
 
 
-def orbit_svg(points, axis: AxisLine, size: int = 600) -> str:
-    """SVG 1.1 document: orbit polyline plus the reflection axis.
+def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
+    """SVG 1.1 document for the orbit trace whose n-th point is
+    (xs[n], ys[n]), as in OrbitRecord.xs and .ys: orbit polyline plus the
+    reflection axis.
 
     The viewport is fixed at size x size and scaled to the bounding box of
     the finite points with 10 percent padding; they are joined in iteration
     order, and points that overflowed are left out.
     """
-    finite = [p for p in points if math.isfinite(p.x) and math.isfinite(p.y)]
-    xs = [p.x for p in finite]
-    ys = [p.y for p in finite]
+    isfinite = math.isfinite
+    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+        xs, ys = ([x for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)],
+                  [y for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)])
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     # Near either end of the float range the box would overflow or
     # underflow, so there the coordinates are scaled by 2**-k, which is
     # exact; k >= -1000 keeps the 2**-k fallback half-width finite.
-    k = math.frexp(max(-min(xs), max(xs), -min(ys), max(ys)))[1]
+    k = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
     k = 0 if -512 < k < 512 else max(k, -1000)
     if k:
         xs = [math.ldexp(x, -k) for x in xs]
         ys = [math.ldexp(y, -k) for y in ys]
-    cx = 0.5 * (min(xs) + max(xs))
-    cy = 0.5 * (min(ys) + max(ys))
-    half = 0.5 * max(max(xs) - min(xs), max(ys) - min(ys))
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    cx = 0.5 * (x_lo + x_hi)
+    cy = 0.5 * (y_lo + y_hi)
+    half = 0.5 * max(x_hi - x_lo, y_hi - y_lo)
     half = half * 1.1 if half > 0.0 else math.ldexp(1.0, -k)
-    scale = (size / 2.0) / half
-
-    def to_screen(x: float, y: float) -> tuple[float, float]:
-        return (size / 2.0 + (x - cx) * scale, size / 2.0 - (y - cy) * scale)
-
+    mid = size / 2.0
+    scale = mid / half
     reach = math.hypot(cx, cy) + 3.0 * half
-    ax0 = to_screen(-reach * math.cos(axis.phi), -reach * math.sin(axis.phi))
-    ax1 = to_screen(reach * math.cos(axis.phi), reach * math.sin(axis.phi))
-    poly = " ".join("{:.3f},{:.3f}".format(*to_screen(x, y)) for x, y in zip(xs, ys))
-    dots = "\n".join(
-        '  <circle cx="{:.3f}" cy="{:.3f}" r="3" fill="#1f4e9c"/>'.format(*to_screen(x, y))
-        for x, y in zip(xs, ys)
-    )
+    ax, ay = reach * math.cos(axis.phi), reach * math.sin(axis.phi)
+    line = '  <line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" ' % (
+        mid + (-ax - cx) * scale, mid - (-ay - cy) * scale,
+        mid + (ax - cx) * scale, mid - (ay - cy) * scale)
+    # Each join consumes the one list beside it, so no per-point string
+    # outlives its join.
+    poly = " ".join(["%.3f,%.3f" % (mid + (x - cx) * scale, mid - (y - cy) * scale)
+                     for x, y in zip(xs, ys)])
+    dots = "\n".join(['  <circle cx="%.3f" cy="%.3f" r="3" fill="#1f4e9c"/>'
+                      % (mid + (x - cx) * scale, mid - (y - cy) * scale)
+                      for x, y in zip(xs, ys)])
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
-        f'  <line x1="{ax0[0]:.3f}" y1="{ax0[1]:.3f}" x2="{ax1[0]:.3f}" y2="{ax1[1]:.3f}" '
-        'stroke="#999999" stroke-width="1"/>\n'
+        f'{line}stroke="#999999" stroke-width="1"/>\n'
         f'  <polyline points="{poly}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>\n'
         f"{dots}\n"
         "</svg>\n"
@@ -209,25 +213,25 @@ def cmd_orbit(args) -> int:
     m = ReflectScale(lam, AxisLine(phi))
     start = _start(args)
     rec = orbit(start, m, args.iters, tol)
+    xs, ys = rec.xs, rec.ys
     if args.json and not args.out:
         # The record will carry the points, so fail before any file is
         # written; a non-finite point cannot come before truncated_at.
-        for n in range(rec.truncated_at, len(rec.points)):
-            p = rec.points[n]
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        for n in range(rec.truncated_at, len(xs)):
+            if not (math.isfinite(xs[n]) and math.isfinite(ys[n])):
                 raise ValueError(f"orbit point {n} is not finite, so JSON cannot hold it")
     if args.out:
-        _write_text(args.out, orbit_csv(rec.points))
+        _write_text(args.out, orbit_csv(xs, ys))
     if args.svg:
-        _write_text(args.svg, orbit_svg(rec.points, m.axis))
+        _write_text(args.svg, orbit_svg(xs, ys, m.axis))
     record = {"start": start, "lambda": lam, "axis": phi, "iters": args.iters,
               "cardinality": rec.cardinality, "convergence": _convergence(start, m, tol),
               "csv": args.out, "svg": args.svg}
     if not args.out:
         if args.json:
-            record["points"] = [[i, p.x, p.y] for i, p in enumerate(rec.points)]
+            record["points"] = [[i, x, y] for i, x, y in zip(range(len(xs)), xs, ys)]
         else:
-            sys.stdout.write(orbit_csv(rec.points))
+            sys.stdout.write(orbit_csv(xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 
 

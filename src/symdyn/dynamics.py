@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .core import DEFAULT_TOL, Point2, Tolerance
-from .geometry import ReflectScale, apply_T, point_on_line, point_on_perpendicular
+from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,31 @@ class StableSet(Enum):
 class OrbitRecord:
     """Trace of iterating a reflect-then-scale map from a start point.
 
-    points[0] is the start and points[n + 1] = apply_T(map, points[n]).
-    truncated_at is the first n whose points[n] is not a normal float (its
-    norm is below sys.float_info.min, infinite or nan), or the step count
-    when every point is normal; revisits are looked for only before it.
-    cardinality is the empirical distinct-point count when a revisit was
-    observed, otherwise the closed-form classification.
+    The n-th point is (xs[n], ys[n]): the start at n = 0, then each point
+    the map's image of the one before. points gives the same trace as
+    Point2s, built anew on each read. truncated_at is the first n whose
+    point is not a normal float (its norm is below sys.float_info.min,
+    infinite or nan), or the step count when every point is normal;
+    revisits are looked for only before it. cardinality is the empirical
+    distinct-point count when a revisit was observed, otherwise the
+    closed-form classification.
     """
 
     start: Point2
     map: ReflectScale
-    points: tuple[Point2, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     cardinality: Finite | Infinite
     truncated_at: int
+
+    @property
+    def points(self) -> tuple[Point2, ...]:
+        """The trace as Point2s, built anew on each read."""
+        return tuple(map(Point2, self.xs, self.ys))
 
 
 def _is_origin(p: Point2, tol: Tolerance) -> bool:
     return tol.close(p.norm(), 0.0)
-
-
-def _is_normal(norm: float) -> bool:
-    return sys.float_info.min <= norm < math.inf
 
 
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
@@ -144,43 +148,60 @@ def classify_orbit_cardinality(
 def orbit(
     p: Point2, m: ReflectScale, max_iter: int, tol: Tolerance = DEFAULT_TOL
 ) -> OrbitRecord:
-    """Iterate the map max_iter times from p, recording every point.
+    """Iterate the map max_iter times from p, recording every point in xs, ys.
 
-    The n-th power of the map is lam**n times the identity or the
-    reflection, so a true cycle has period 1 or 2: each new point is
-    compared only with the previous point and the one before it. It
-    revisits one of them when it lies within eps * max(|new|, |old|); the
-    radius scales with the points themselves so that contracting or
-    expanding orbits never alias. Comparisons stop at truncated_at, the
-    first point that is not a normal float, because past it an underflowed
-    or overflowed iterate says nothing about the exact orbit. With a
-    revisit observed the empirical distinct count is reported; otherwise
-    the closed-form classification is authoritative.
+    Each step repeats apply_T's operations in the same order, so the points
+    are bit-identical to calling it. The n-th power of the map is lam**n
+    times the identity or the reflection, so a true cycle has period 1 or
+    2: each new point is compared only with the previous point and the one
+    before it. It revisits one of them when it lies within
+    eps * max(|new|, |old|); the radius scales with the points themselves
+    so that contracting or expanding orbits never alias. Comparisons stop
+    at truncated_at, the first point that is not a normal float, because
+    past it an underflowed or overflowed iterate says nothing about the
+    exact orbit. With a revisit observed the empirical distinct count is
+    reported; otherwise the closed-form classification is authoritative.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
-    eps = tol.eps
-    points = [p]
-    truncated_at = max_iter if _is_normal(p.norm()) else 0
+    eps, lam, tiny, hypot = tol.eps, m.lam, sys.float_info.min, math.hypot
+    t = 2.0 * m.axis.phi
+    c, s = math.cos(t), math.sin(t)
+    x, y = p.x, p.y
+    xs, ys = [x], [y]
+    append_x, append_y = xs.append, ys.append
+    nrm = hypot(x, y)
+    truncated_at = max_iter if tiny <= nrm < math.inf else 0
     distinct = 1
     revisit = False
-    for n in range(1, max_iter + 1):
-        cur = apply_T(m, points[-1])
-        if n <= truncated_at:
-            nrm = cur.norm()
-            if not _is_normal(nrm):
-                truncated_at = n
-            elif any(cur.distance_to(q) <= eps * max(nrm, q.norm()) for q in points[-2:]):
-                revisit = True
-            else:
-                distinct += 1
-        points.append(cur)
+    # The previous point (x1, y1) and the one before it (x0, y0), with their
+    # norms; before the second step both are the start.
+    x0, y0, n0 = x1, y1, n1 = x, y, nrm
+    for n in range(1, truncated_at + 1):
+        x, y = lam * (x * c + y * s), lam * (x * s - y * c)
+        append_x(x)
+        append_y(y)
+        nrm = hypot(x, y)
+        if not tiny <= nrm < math.inf:
+            truncated_at = n
+            break
+        if (hypot(x - x1, y - y1) <= eps * (nrm if nrm > n1 else n1)
+                or hypot(x - x0, y - y0) <= eps * (nrm if nrm > n0 else n0)):
+            revisit = True
+        else:
+            distinct += 1
+        x0, y0, n0 = x1, y1, n1
+        x1, y1, n1 = x, y, nrm
+    for _ in range(truncated_at, max_iter):
+        x, y = lam * (x * c + y * s), lam * (x * s - y * c)
+        append_x(x)
+        append_y(y)
     card: Finite | Infinite
     if revisit:
         card = Finite(distinct)
     else:
         card = classify_orbit_cardinality(p, m, tol)
-    return OrbitRecord(start=p, map=m, points=tuple(points), cardinality=card,
+    return OrbitRecord(start=p, map=m, xs=tuple(xs), ys=tuple(ys), cardinality=card,
                        truncated_at=truncated_at)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -525,6 +526,32 @@ def test_orbit_svg_has_only_finite_coordinates(capsys, tmp_path, argv):
     text = svg.read_text()
     assert "<polyline" in text
     assert "nan" not in text and "inf" not in text
+
+
+# sha256 of the --out CSV and --svg files; the goldens cover only short orbits
+@pytest.mark.parametrize("argv,csv_sha,svg_sha", [
+    ("0.8 -1.1 --lambda 1.00001 --axis 0.7 --iters 5000",
+     "974cfb223d7df2e34cab023c7cda5831f1a227022862988ce2077fbd5fb4e116",
+     "96d8a9a3faded98769bb482e8e252915eaebf4e8cab841c0fa4d02dadb0e4a6c"),
+    ("1 0 --lambda 2 --axis 0.3 --iters 1100",
+     "eeee72175c3a34f906540c1ae32797028b8352782d1791bd634f9e0d5bb9369f",
+     "c1f25beb29544a6e13b3f0d6366f226410bc604327377ff13849c15174281be5"),
+    ("1 0 --lambda 0.5 --axis 0.3 --iters 1100",
+     "696b9861c2aed5156cbda029a721238d7f84bc33adb41e90cf1be947766621ed",
+     "88a1eda21e52f801c8e40ab02d169709f646deb9bdb2972acef8e295ccc863c7"),
+    ("1e-310 0 --lambda 1e10 --axis 0.3 --iters 5",
+     "07a56e70dd5c54ce31e0e7905b92d5fcde5bedd8a78286662503bd2b066d324a",
+     "54e359bc9e0b615e5a1ed70d196bc9470fa1f9c4ded461bdda9ce816003b3d92"),
+    ("0 0 --lambda 2 --axis 1 --iters 3",
+     "c4c5575123f7dd4e06ed65161f8b077a66987b3f64ac2076156abcb594ff4d7f",
+     "2f0ce50cfbd82930b78e26cc5669c3e2b4396611ba1386edb6ed7aacb68de522"),
+], ids=["near-unit-5000", "overflow", "underflow", "subnormal-start", "degenerate-box"])
+def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
+    csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+    code, _, err = run(capsys, "orbit", *argv.split(), "--out", str(csv), "--svg", str(svg))
+    assert code == 0, err
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
 
 # --- scripts ----------------------------------------------------------------------------

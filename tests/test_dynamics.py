@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -69,11 +70,16 @@ def test_power_rejects_negative():
 
 @settings(max_examples=150)
 @given(lams, axis_angles, coords, coords, st.integers(min_value=0, max_value=20))
+@example(3.0, 1.0, 0.0, 2.0, 20)
 def test_power_matches_iteration(lam, phi, x, y, n):
+    # The rounding error of either side scales with the terms it sums, and
+    # they are about |lam|**n |p| (the exact iterate norm), not with one
+    # coordinate: the example's x cancels to 0 against terms near 7e9.
     fx, fy = oracles.iterate_map(x, y, lam, phi, n)
     px, py = oracles.mat_vec(dynamics.power_T(_mk(lam, phi), n).tolist(), (x, y))
-    assert abs(px - fx) <= 1e-6 * (1.0 + abs(fx))
-    assert abs(py - fy) <= 1e-6 * (1.0 + abs(fy))
+    bound = 1e-12 * (1.0 + abs(lam) ** n * math.hypot(x, y))
+    assert abs(px - fx) <= bound
+    assert abs(py - fy) <= bound
 
 
 # --- is_power_identity ----------------------------------------------------------
@@ -165,13 +171,29 @@ def test_orbit_contracting_has_no_false_revisit():
         assert p.y == 0.0
 
 
-def test_orbit_consecutive_points_follow_the_map():
-    m = _mk(-1.3, 0.77)
-    rec = dynamics.orbit(Point2(2.0, -1.0), m, 12)
+def _bits(p):
+    # nan != nan, so points are compared by their bytes
+    return struct.pack("<2d", p.x, p.y)
+
+
+@pytest.mark.parametrize("start,lam,phi,max_iter,truncated_at", [
+    (Point2(2.0, -1.0), -1.3, 0.77, 12, 12),
+    (Point2(1.0, 0.0), 2.0, 0.3, 1100, 1024),  # overflows to inf, then nan
+    (Point2(1.0, 0.0), 1e200, 0.3, 5, 2),
+    (Point2(1.0, 0.0), 0.5, 0.3, 1100, 1023),  # underflows to 0
+    (Point2(1e-310, 0.0), 1e10, 0.3, 5, 0),  # subnormal start
+    (Point2(1.0, 0.0), 1.0, math.pi / 4.0, 10, 10),  # revisits from step 2
+], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "revisit"])
+def test_orbit_consecutive_points_follow_the_map(start, lam, phi, max_iter, truncated_at):
+    # orbit() repeats apply_T's operations inline; every point must be the
+    # one apply_T gives, bit for bit, before and after truncated_at
+    m = _mk(lam, phi)
+    rec = dynamics.orbit(start, m, max_iter)
     assert rec.points[0] == rec.start
+    assert len(rec.xs) == len(rec.ys) == max_iter + 1
     for a, b in zip(rec.points, rec.points[1:]):
-        assert b == apply_T(m, a)
-    assert rec.truncated_at == 12
+        assert _bits(b) == _bits(apply_T(m, a))
+    assert rec.truncated_at == truncated_at
 
 
 def test_orbit_rejects_zero_iterations():
