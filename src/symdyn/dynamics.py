@@ -177,25 +177,21 @@ def orbit(
     # The previous point (x1, y1) and the one before it (x0, y0), with their
     # norms; before the second step both are the start.
     x0, y0, n0 = x1, y1, n1 = x, y, nrm
-    for n in range(1, truncated_at + 1):
+    for n in range(1, max_iter + 1):
         x, y = lam * (x * c + y * s), lam * (x * s - y * c)
         append_x(x)
         append_y(y)
-        nrm = hypot(x, y)
-        if not tiny <= nrm < math.inf:
-            truncated_at = n
-            break
-        if (hypot(x - x1, y - y1) <= eps * (nrm if nrm > n1 else n1)
-                or hypot(x - x0, y - y0) <= eps * (nrm if nrm > n0 else n0)):
-            revisit = True
-        else:
-            distinct += 1
-        x0, y0, n0 = x1, y1, n1
-        x1, y1, n1 = x, y, nrm
-    for _ in range(truncated_at, max_iter):
-        x, y = lam * (x * c + y * s), lam * (x * s - y * c)
-        append_x(x)
-        append_y(y)
+        if n <= truncated_at:
+            nrm = hypot(x, y)
+            if not tiny <= nrm < math.inf:
+                truncated_at = n
+            elif (hypot(x - x1, y - y1) <= eps * (nrm if nrm > n1 else n1)
+                    or hypot(x - x0, y - y0) <= eps * (nrm if nrm > n0 else n0)):
+                revisit = True
+            else:
+                distinct += 1
+            x0, y0, n0 = x1, y1, n1
+            x1, y1, n1 = x, y, nrm
     card: Finite | Infinite
     if revisit:
         card = Finite(distinct)

@@ -110,16 +110,19 @@ def sym0_basis(n: int) -> list[SymMatN]:
 
 
 def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a equals c * I entrywise within tol, for some real c."""
+    """Whether a equals c * I within tol, for some real c, read off its entries.
+
+    Each diagonal entry must lie within eps * (1 + |a|) of the next, and each
+    off-diagonal pair a_ij + a_ji within the same bound, |a| the Frobenius
+    norm. That is the threshold is_in_psym puts on the pairings, so the two
+    tests give the same answer on every input, as the theorem says they must.
+    """
     m = a.to_matrix()
-    c = float(np.trace(m)) / a.n
-    for i in range(a.n):
-        if not tol.close(m[i, i], c):
-            return False
-        for j in range(i + 1, a.n):
-            if not tol.close(m[i, j], 0.0):
-                return False
-    return True
+    thresh = tol.eps * (1.0 + a.frobenius_norm())
+    if any(abs(m[i, i] - m[i + 1, i + 1]) > thresh for i in range(a.n - 1)):
+        return False
+    return all(abs(m[i, j] + m[j, i]) <= thresh
+               for i in range(a.n) for j in range(i + 1, a.n))
 
 
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:

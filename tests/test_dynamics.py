@@ -241,6 +241,8 @@ def test_orbit_revisits_the_point_before_the_previous_one():
     m = _mk(1.0, 0.0)
     assert dynamics.classify_orbit_cardinality(p, m) == Finite(1)
     assert dynamics.orbit(p, m, 10).cardinality == Finite(2)
+    # with two steps the revisit is the last step, which is checked too
+    assert dynamics.orbit(p, m, 2).cardinality == Finite(2)
 
 
 @settings(max_examples=100)

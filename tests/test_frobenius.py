@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdyn import core, frobenius
@@ -163,15 +163,6 @@ def test_distinct_diagonal_does_not_belong():
 @given(st.integers(min_value=2, max_value=5), st.data())
 def test_membership_matches_scalar_test(n, data):
     a = data.draw(sym_matrices(n))
-    # The two tests scale eps differently (is_scalar_matrix entry by entry,
-    # is_in_psym by the norm, on doubled off-diagonal entries), so within a
-    # few eps of a scalar matrix they may differ: an off-diagonal entry of
-    # exactly 1e-9 passes one and not the other. Away from that band the
-    # theorem says they agree.
-    m = a.to_matrix()
-    off = float(np.max(np.abs(m - np.trace(m) / n * np.eye(n))))
-    scale = 1.0 + a.frobenius_norm()
-    assume(off <= 1e-12 * scale or off >= 1e-6 * scale)
     assert frobenius.is_in_psym(a) == frobenius.is_scalar_matrix(a)
 
 
