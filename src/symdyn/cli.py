@@ -15,9 +15,8 @@ import re
 import sys
 from enum import Enum
 
-import numpy as np
-
-from .core import Point2, Tolerance, classify_orthogonal, decompose, matrix_from_params
+from .core import (Point2, Tolerance, TraceZeroSym2, classify_orthogonal, decompose,
+                   matrix_from_params)
 from .dynamics import (
     ConvergesTo,
     Finite,
@@ -53,7 +52,7 @@ def _text(v) -> str:
         return _fmt(v)
     if isinstance(v, Enum):
         return v.value
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (tuple, list)):
         return "[{}]".format(", ".join(_text(row) for row in v))
     if isinstance(v, Finite):
         return f"Finite({v.size})"
@@ -64,8 +63,6 @@ def _text(v) -> str:
 
 def _json(v):
     """The JSON form of a record value that json cannot encode by itself."""
-    if isinstance(v, np.ndarray):
-        return v.ravel().tolist()
     if isinstance(v, Point2):
         return [v.x, v.y]
     if isinstance(v, Enum):
@@ -81,10 +78,14 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     """Print a command's record as one JSON object, or as key = value lines
     without the json_only keys; a dict value prints as key[sub] = value lines.
 
-    JSON never holds NaN or Infinity: such a value raises ValueError, which
-    exits 2 before anything is printed.
+    A tuple value is a matrix given by its row tuples: text prints it nested,
+    and JSON holds its entries flattened row-major. JSON never holds NaN or
+    Infinity: such a value raises ValueError, which exits 2 before anything
+    is printed.
     """
     if as_json:
+        record = {k: [x for row in v for x in row] if isinstance(v, tuple) else v
+                  for k, v in record.items()}
         print(json.dumps(record, default=_json, allow_nan=False))
         return EXIT_OK
     for key, value in record.items():
@@ -165,9 +166,14 @@ def _params(tz, matrix) -> dict:
     return {"lambda": tz.lam, "theta": tz.theta, "axis": tz.axis_angle, "matrix": matrix}
 
 
+def _rows(a) -> tuple:
+    # A 2x2 ndarray in the record's form of a matrix.
+    return tuple(map(tuple, a.tolist()))
+
+
 def cmd_decompose(args) -> int:
-    tz = decompose(np.array(args.entries).reshape(2, 2), Tolerance(args.tol))
-    return _emit(_params(tz, tz.matrix()), args.json)
+    tz = decompose((args.entries[:2], args.entries[2:]), Tolerance(args.tol))
+    return _emit(_params(tz, tz.rows()), args.json)
 
 
 def cmd_build(args) -> int:
@@ -177,7 +183,7 @@ def cmd_build(args) -> int:
         theta = _rad(args.theta, args.degrees)
     else:
         theta = 2.0 * _rad(args.axis, args.degrees)
-    m = matrix_from_params(args.lam, theta)
+    m = TraceZeroSym2(args.lam, theta).rows()
     return _emit(_params(decompose(m, Tolerance(args.tol)), m), args.json)
 
 
@@ -198,7 +204,7 @@ def _orbit_map(args, tol: Tolerance) -> tuple[float, float]:
     if args.from_matrix is not None:
         if args.lam is not None or args.axis is not None:
             raise ValueError("--from-matrix excludes --lambda/--axis")
-        tz = decompose(np.array(args.from_matrix).reshape(2, 2), tol)
+        tz = decompose((args.from_matrix[:2], args.from_matrix[2:]), tol)
         return tz.lam, tz.axis_angle
     if args.lam is None or args.axis is None:
         raise ValueError("need both --lambda and --axis (or --from-matrix)")
@@ -254,9 +260,9 @@ def cmd_compose(args) -> int:
     gamma = compose_rotation_reflection(alpha, theta, direction)
     product = rotation_matrix(alpha, direction) @ matrix_from_params(1.0, theta)
     target = matrix_from_params(1.0, gamma)
-    residual = float(np.max(np.abs(product - target)))
+    residual = float(abs(product - target).max())
     record = {"alpha": alpha, "theta": theta, "direction": direction, "gamma": gamma,
-              "product": product, "reflection": target, "residual": residual,
+              "product": _rows(product), "reflection": _rows(target), "residual": residual,
               "verified": residual <= 1e-12}
     return _emit(record, args.json, ("alpha", "theta", "direction"))
 
@@ -276,9 +282,9 @@ def cmd_psym(args) -> int:
     if len(tokens) != 1 + n * n:
         raise ValueError(f"expected {n * n} entries after the dimension, got {len(tokens) - 1}")
     values = [float(t) for t in tokens[1:]]
-    a = SymMatN.from_matrix(np.array(values).reshape(n, n), tol)
+    a = SymMatN.from_matrix([values[i:i + n] for i in range(0, n * n, n)], tol)
     if is_in_psym(a, tol):
-        c = float(np.trace(a.to_matrix())) / n
+        c = float(a.to_matrix().trace()) / n
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     thresh = tol.eps * (1.0 + a.frobenius_norm())
     witness = None
@@ -289,12 +295,13 @@ def cmd_psym(args) -> int:
             witness = basis_elem
             break
     assert witness is not None
-    record = {"member": False, "n": n, "witness": witness.to_matrix().ravel(), "trace": value}
+    record = {"member": False, "n": n, "witness": witness.to_matrix().ravel().tolist(),
+              "trace": value}
     return _emit(record, args.json, ("n",))
 
 
 def cmd_ortho_classify(args) -> int:
-    o = classify_orthogonal(np.array(args.entries).reshape(2, 2), Tolerance(args.tol))
+    o = classify_orthogonal((args.entries[:2], args.entries[2:]), Tolerance(args.tol))
     return _emit({"variant": o.variant, "angle": o.angle}, args.json)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -117,8 +119,20 @@ class TraceZeroSym2:
     def axis_angle(self) -> float:
         return self.theta / 2.0
 
+    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The matrix [[l cos t, l sin t], [l sin t, -l cos t]] as a tuple of rows.
+
+        Symmetric with trace exactly zero; matrix() holds the same floats.
+        """
+        a = self.lam * math.cos(self.theta)
+        b = self.lam * math.sin(self.theta)
+        d = -a if a != 0.0 else 0.0
+        return ((a, b), (b, d))
+
     def matrix(self) -> np.ndarray:
-        return matrix_from_params(self.lam, self.theta)
+        import numpy as np
+
+        return np.array(self.rows())
 
 
 class OrthogonalVariant(Enum):
@@ -139,6 +153,8 @@ class Orthogonal2:
         object.__setattr__(self, "angle", mod_2pi(self.angle))
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         c, s = math.cos(self.angle), math.sin(self.angle)
         if self.variant is OrthogonalVariant.ROTATION:
             return np.array([[c, s], [-s, c]])
@@ -152,22 +168,20 @@ def matrix_from_params(lam: float, theta: float) -> np.ndarray:
     bit for bit the same matrix as matrix_from_params(l, (t + pi) mod 2pi).
     The result is symmetric with trace exactly zero.
     """
-    if not (math.isfinite(lam) and math.isfinite(theta)):
-        raise ValueError("lam and theta must be finite")
-    lam, theta = _canonical_params(lam, theta)
-    a = lam * math.cos(theta)
-    b = lam * math.sin(theta)
-    d = -a if a != 0.0 else 0.0
-    return np.array([[a, b], [b, d]])
+    return TraceZeroSym2(lam, theta).matrix()
 
 
-def _as_matrix2(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not np.all(np.isfinite(arr)):
+def _as_matrix2(m) -> tuple[float, float, float, float]:
+    # The entries x, p, q, y of [[x, p], [q, y]], from any 2x2 nested
+    # sequence or array; an entry that is itself an array fails float().
+    try:
+        (x, p), (q, y) = m
+        entries = (float(x), float(p), float(q), float(y))
+    except (TypeError, ValueError):
+        raise ValueError("expected a 2x2 matrix") from None
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix entries must be finite")
-    return arr
+    return entries
 
 
 def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
@@ -180,7 +194,7 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     # Python floats overflow to inf without a numpy warning, and halving
     # before subtracting, which is exact for normal entries, keeps the
     # half-difference finite wherever it is representable.
-    (x, p), (q, y) = _as_matrix2(m).tolist()
+    x, p, q, y = _as_matrix2(m)
     if not tol.close(p, q):
         raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
     trace = x + y
@@ -201,25 +215,24 @@ def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:
     matches [[cos b, sin b], [sin b, -cos b]], angle in [0, 2*pi). A matrix
     whose determinant is near neither +1 nor -1 is rejected, never guessed.
     """
-    arr = _as_matrix2(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the checks below
-        g = arr.T @ arr
+    x, p, q, y = _as_matrix2(m)
+    # The Gram matrix of the columns, which is symmetric; Python floats
+    # overflow to inf and nan without a warning, and both fail close().
     ok = (
-        tol.close(g[0, 0], 1.0)
-        and tol.close(g[1, 1], 1.0)
-        and tol.close(g[0, 1], 0.0)
-        and tol.close(g[1, 0], 0.0)
+        tol.close(x * x + q * q, 1.0)
+        and tol.close(p * p + y * y, 1.0)
+        and tol.close(x * p + q * y, 0.0)
     )
     if not ok:
         raise NotOrthogonalError("columns are not orthonormal within tolerance")
-    det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
+    det = x * y - p * q
     if tol.close(det, 1.0):
-        c = 0.5 * (arr[0, 0] + arr[1, 1])
-        s = 0.5 * (arr[0, 1] - arr[1, 0])
+        c = 0.5 * (x + y)
+        s = 0.5 * (p - q)
         return Orthogonal2(OrthogonalVariant.ROTATION, mod_2pi(math.atan2(s, c)))
     if tol.close(det, -1.0):
-        c = 0.5 * (arr[0, 0] - arr[1, 1])
-        s = 0.5 * (arr[0, 1] + arr[1, 0])
+        c = 0.5 * (x - y)
+        s = 0.5 * (p + q)
         return Orthogonal2(OrthogonalVariant.REFLECTION, mod_2pi(math.atan2(s, c)))
     raise NotOrthogonalError("determinant is near neither +1 nor -1")
 

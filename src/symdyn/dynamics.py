@@ -13,11 +13,13 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, Point2, Tolerance
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ def power_T(m: ReflectScale, n: int) -> np.ndarray:
     lam**n times the identity for even n, lam**n times the unit reflection
     for odd n.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     scale = m.lam ** n

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, NotSymmetricError, Tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class SymMatN:
 
         Mirror entries are averaged so the packed form is exactly symmetric.
         """
+        import numpy as np
+
         arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
@@ -60,9 +64,13 @@ class SymMatN:
 
     @classmethod
     def identity(cls, n: int) -> "SymMatN":
+        import numpy as np
+
         return cls.from_matrix(np.eye(n))
 
     def to_matrix(self) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((self.n, self.n))
         k = 0
         for i in range(self.n):
@@ -73,6 +81,8 @@ class SymMatN:
         return out
 
     def frobenius_norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.to_matrix()))
 
 
@@ -83,7 +93,7 @@ def frobenius_inner(a: SymMatN, b: SymMatN) -> float:
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return float(np.trace(a.to_matrix() @ b.to_matrix()))
+    return float((a.to_matrix() @ b.to_matrix()).trace())
 
 
 def sym0_basis(n: int) -> list[SymMatN]:
@@ -92,6 +102,8 @@ def sym0_basis(n: int) -> list[SymMatN]:
     Consecutive diagonal differences diag(..., 1, -1, ...) followed by the
     symmetrized off-diagonal units, n(n+1)/2 - 1 matrices in total.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("n must be at least 2")
     out: list[SymMatN] = []
@@ -142,6 +154,8 @@ def psym_dimension(n: int) -> int:
     full rank n(n+1)/2 - 1, appending the identity must raise the rank by
     one, and the complement dimension is the remaining gap (always 1).
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("n must be at least 2")
     basis = sym0_basis(n)

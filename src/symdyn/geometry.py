@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, Point2, Tolerance, mod_2pi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Direction(Enum):
@@ -54,6 +56,8 @@ class ReflectScale:
             raise ValueError("lam must be finite")
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         t = 2.0 * self.axis.phi
         c, s = math.cos(t), math.sin(t)
         return self.lam * np.array([[c, s], [s, -c]])
@@ -94,6 +98,8 @@ def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:
     The clockwise template is [[cos a, sin a], [-sin a, cos a]]; the
     anticlockwise matrix is the same template evaluated at -alpha.
     """
+    import numpy as np
+
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if direction is Direction.ANTICLOCKWISE:

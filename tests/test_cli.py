@@ -554,6 +554,39 @@ def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
 
+# --- start-up ----------------------------------------------------------------------------
+
+
+def test_two_by_two_commands_load_no_numpy(tmp_path):
+    # Importing numpy costs more than the rest of a one-shot command; only
+    # compose, psym and the library functions that return arrays load it.
+    out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
+    cases = [([*argv, *fmt], 0) for argv in (
+        ["decompose", "3", "4", "4", "-3"], ["build", "5", "--theta", "0.9"],
+        ["classify", "3", "4", "--lambda", "0.9", "--axis", "1.1"],
+        ["ortho-classify", "0", "1", "1", "0"]) for fmt in ([], ["--json"])]
+    cases += [
+        (["orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "8",
+          "--out", out, "--svg", svg], 0),
+        (["orbit", "1", "0", "--from-matrix", "0.2", "1.5", "1.5", "-0.2", "--iters", "4"], 0),
+        (["decompose", "1", "2", "3", "-1"], 2),
+    ]
+    code = (
+        "import sys\n"
+        "import symdyn\n"
+        "assert 'numpy' not in sys.modules, 'import symdyn'\n"
+        "from symdyn.cli import main\n"
+        f"for argv, expected in {cases!r}:\n"
+        "    assert main(argv) == expected, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    assert os.path.getsize(out) and os.path.getsize(svg)
+
+
 # --- scripts ----------------------------------------------------------------------------
 
 

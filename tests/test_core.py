@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import core
+from symdyn.dynamics import power_T
+from symdyn.geometry import AxisLine, Direction, ReflectScale, rotation_matrix
 
 TAU = 2.0 * math.pi
 
@@ -103,9 +106,27 @@ def test_decompose_rejects_nonzero_trace():
         core.decompose([[1.0, 2.0], [2.0, 1.0]])
 
 
-def test_decompose_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        core.decompose([[1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("m", [
+    [[1, 2, 3]], [[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4], [[1, 2], [3]],
+    np.zeros((3, 3)), np.zeros((2, 2, 1)),
+], ids=["1x3", "2x3", "flat", "ragged", "array-3x3", "array-2x2x1"])
+@pytest.mark.parametrize("fn", [core.decompose, core.classify_orthogonal],
+                         ids=["decompose", "classify_orthogonal"])
+def test_decompose_rejects_bad_shape(fn, m):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            fn(m)
+    assert caught == []
+
+
+@pytest.mark.parametrize("fn,m", [
+    (core.decompose, [[3.0, 4.0], [4.0, -3.0]]),
+    (core.classify_orthogonal, [[0.6, 0.8], [-0.8, 0.6]]),
+    (core.classify_orthogonal, [[0.6, 0.8], [0.8, -0.6]]),
+], ids=["decompose", "classify_orthogonal-rotation", "classify_orthogonal-reflection"])
+def test_list_tuple_and_array_inputs_agree(fn, m):
+    assert fn(m) == fn(tuple(map(tuple, m))) == fn(np.array(m))
 
 
 @given(scales, angles)
@@ -223,6 +244,14 @@ def test_tolerance_validates():
                                  (math.nan, 0.0)])
 def test_close_is_false_when_the_difference_is_not_finite(x, y):
     assert not core.Tolerance().close(x, y)
+
+
+def test_array_returning_functions_return_ndarrays():
+    m = ReflectScale(2.0, AxisLine(0.3))
+    for a in (core.matrix_from_params(2.0, 0.3), core.TraceZeroSym2(2.0, 0.3).matrix(),
+              core.Orthogonal2(core.OrthogonalVariant.ROTATION, 0.3).matrix(), m.matrix(),
+              rotation_matrix(0.3, Direction.CLOCKWISE), power_T(m, 3)):
+        assert isinstance(a, np.ndarray) and a.shape == (2, 2)
 
 
 def test_overflowing_entries_are_rejected_not_accepted():
