@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from enum import Enum
@@ -34,6 +35,11 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 MAX_ITERS = 1_000_000
+# The fewest rows in a slice rendered by a forked child. A child costs about
+# 4 ms to fork and read back: on a 2-core host, two slices of 4096 rows drew
+# an SVG no faster than one of 8192 (1.05x the time), while two of 8192 took
+# 0.67x (CSV) and 0.82x (SVG) the time of one of 16384.
+SLICE_ROWS = 8192
 
 
 def _fmt(x: float) -> str:
@@ -97,11 +103,95 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     return EXIT_OK
 
 
+def _one_thread() -> bool:
+    """Whether this process runs a single OS thread. Threads that Python did
+    not start, such as a BLAS pool, count too: a forked child has none of
+    them, nor any lock they held."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork(render, lo: int, hi: int) -> tuple[int, int] | None:
+    """Starts a child that writes render(lo, hi) to a pipe and exits 0.
+    Returns (pid, read end), or None when no child could be started."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.write(render(lo, hi).encode())
+            code = 0
+        finally:
+            os._exit(code)  # never returns into the caller's code
+    os.close(w)
+    return pid, r
+
+
+def _join(child: tuple[int, int]) -> str | None:
+    """Reads a child's text to the end and reaps the child; None unless it
+    exited 0."""
+    pid, r = child
+    try:
+        with open(r, "rb") as fh:
+            text = fh.read().decode()
+    finally:
+        try:
+            ok = os.waitpid(pid, 0)[1] == 0
+        except ChildProcessError:  # SIGCHLD is ignored, so the exit status is gone
+            ok = False
+    return text if ok else None
+
+
+def _in_slices(render, n: int, sep: str = "") -> str:
+    """render(lo, hi) over contiguous slices of range(n), joined by sep.
+
+    There is one slice per CPU the process may use, of at least SLICE_ROWS
+    rows each. Every slice but the last is rendered in a forked child; the
+    parent renders the last, then joins the children's text in order. A
+    slice whose child could not start or did not exit 0 is rendered in the
+    parent, so the text is the same for any number of slices. A process
+    without fork or sched_getaffinity, or with more than one thread, renders
+    one slice.
+    """
+    k = 1
+    if (n >= 2 * SLICE_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and _one_thread()):
+        k = min(len(os.sched_getaffinity(0)), n // SLICE_ROWS)
+    cuts = [n * i // k for i in range(k + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts, cuts[1:-1]):
+            children.append(_fork(render, lo, hi))
+        last = render(cuts[-2], n)
+    finally:
+        # Every child is read and reaped, also when the render above raised.
+        texts = [child and _join(child) for child in children]
+    texts = [render(lo, hi) if text is None else text
+             for text, lo, hi in zip(texts, cuts, cuts[1:])]
+    return sep.join(texts + [last])
+
+
 def orbit_csv(xs, ys) -> str:
     """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as
     in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
-    rows = zip(range(len(xs)), xs, ys)
-    return "n,x,y\n" + "".join(["%d,%.17g,%.17g\n" % row for row in rows])
+
+    def rows(lo: int, hi: int) -> str:
+        return "".join(["%d,%.17g,%.17g\n" % row
+                        for row in zip(range(lo, hi), xs[lo:hi], ys[lo:hi])])
+
+    return "n,x,y\n" + _in_slices(rows, len(xs))
 
 
 def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
@@ -138,13 +228,16 @@ def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
     line = '  <line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" ' % (
         mid + (-ax - cx) * scale, mid - (-ay - cy) * scale,
         mid + (ax - cx) * scale, mid - (ay - cy) * scale)
-    # Each join consumes the one list beside it, so no per-point string
-    # outlives its join.
-    poly = " ".join(["%.3f,%.3f" % (mid + (x - cx) * scale, mid - (y - cy) * scale)
-                     for x, y in zip(xs, ys)])
-    dots = "\n".join(['  <circle cx="%.3f" cy="%.3f" r="3" fill="#1f4e9c"/>'
-                      % (mid + (x - cx) * scale, mid - (y - cy) * scale)
-                      for x, y in zip(xs, ys)])
+
+    def points(lo: int, hi: int) -> str:
+        return " ".join(["%.3f,%.3f" % (mid + (x - cx) * scale, mid - (y - cy) * scale)
+                         for x, y in zip(xs[lo:hi], ys[lo:hi])])
+
+    # Each point is formatted once, as "x,y" in the polyline; "%.3f" never
+    # prints a space or a comma, so the circles are that text rewritten.
+    poly = _in_slices(points, len(xs), " ")
+    dots = ('  <circle cx="' + poly.replace(" ", '" r="3" fill="#1f4e9c"/>\n  <circle cx="')
+            .replace(",", '" cy="') + '" r="3" fill="#1f4e9c"/>')
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -223,9 +316,10 @@ def cmd_orbit(args) -> int:
     if args.json and not args.out:
         # The record will carry the points, so fail before any file is
         # written; a non-finite point cannot come before truncated_at.
-        for n in range(rec.truncated_at, len(xs)):
-            if not (math.isfinite(xs[n]) and math.isfinite(ys[n])):
-                raise ValueError(f"orbit point {n} is not finite, so JSON cannot hold it")
+        t, isfinite = rec.truncated_at, math.isfinite
+        if not (all(map(isfinite, xs[t:])) and all(map(isfinite, ys[t:]))):
+            n = next(n for n in range(t, len(xs)) if not (isfinite(xs[n]) and isfinite(ys[n])))
+            raise ValueError(f"orbit point {n} is not finite, so JSON cannot hold it")
     if args.out:
         _write_text(args.out, orbit_csv(xs, ys))
     if args.svg:
@@ -235,7 +329,7 @@ def cmd_orbit(args) -> int:
               "csv": args.out, "svg": args.svg}
     if not args.out:
         if args.json:
-            record["points"] = [[i, x, y] for i, x, y in zip(range(len(xs)), xs, ys)]
+            record["points"] = list(zip(range(len(xs)), xs, ys))
         else:
             sys.stdout.write(orbit_csv(xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))

@@ -19,6 +19,8 @@ from .core import DEFAULT_TOL, Point2, Tolerance
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 
@@ -70,19 +72,20 @@ class OrbitRecord:
     """Trace of iterating a reflect-then-scale map from a start point.
 
     The n-th point is (xs[n], ys[n]): the start at n = 0, then each point
-    the map's image of the one before. points gives the same trace as
-    Point2s, built anew on each read. truncated_at is the first n whose
-    point is not a normal float (its norm is below sys.float_info.min,
-    infinite or nan), or the step count when every point is normal;
-    revisits are looked for only before it. cardinality is the empirical
-    distinct-point count when a revisit was observed, otherwise the
-    closed-form classification.
+    the map's image of the one before. xs and ys are array('d')s, 8 bytes
+    a coordinate, and the only mutable part of a record: treat them as
+    read-only. points gives the same trace as Point2s, built anew on each
+    read. truncated_at is the first n whose point is not a normal float
+    (its norm is below sys.float_info.min, infinite or nan), or the step
+    count when every point is normal; revisits are looked for only before
+    it. cardinality is the empirical distinct-point count when a revisit
+    was observed, otherwise the closed-form classification.
     """
 
     start: Point2
     map: ReflectScale
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    xs: array[float]
+    ys: array[float]
     cardinality: Finite | Infinite
     truncated_at: int
 
@@ -189,11 +192,16 @@ def orbit(
             nrm = hypot(x, y)
             if not tiny <= nrm < math.inf:
                 truncated_at = n
-            elif (hypot(x - x1, y - y1) <= eps * (nrm if nrm > n1 else n1)
-                    or hypot(x - x0, y - y0) <= eps * (nrm if nrm > n0 else n0)):
-                revisit = True
             else:
-                distinct += 1
+                r1 = eps * (nrm if nrm > n1 else n1)
+                r0 = eps * (nrm if nrm > n0 else n0)
+                # hypot(dx, dy) >= |dx|, so a point whose dx is out of reach
+                # is skipped without the hypot call that would fail anyway.
+                if (-r1 <= x - x1 <= r1 and hypot(x - x1, y - y1) <= r1
+                        or -r0 <= x - x0 <= r0 and hypot(x - x0, y - y0) <= r0):
+                    revisit = True
+                else:
+                    distinct += 1
             x0, y0, n0 = x1, y1, n1
             x1, y1, n1 = x, y, nrm
     card: Finite | Infinite
@@ -201,8 +209,14 @@ def orbit(
         card = Finite(distinct)
     else:
         card = classify_orbit_cardinality(p, m, tol)
-    return OrbitRecord(start=p, map=m, xs=tuple(xs), ys=tuple(ys), cardinality=card,
-                       truncated_at=truncated_at)
+    # The loop appends to lists, which costs less per step than appending to
+    # arrays; each list goes, with its floats, once its array is built.
+    from array import array
+
+    del append_x, append_y
+    xs = array("d", xs)
+    ys = array("d", ys)
+    return OrbitRecord(start=p, map=m, xs=xs, ys=ys, cardinality=card, truncated_at=truncated_at)
 
 
 def classify_convergence(

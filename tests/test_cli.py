@@ -1,13 +1,17 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from symdyn import cli
 from symdyn.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -552,6 +556,145 @@ def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
     assert code == 0, err
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
+
+
+# --- rendering in forked slices ----------------------------------------------------------
+
+# sha256 of the CSV (the --out file, or all of stdout) and of the SVG of a
+# 40000-step orbit, taken before the renderers split their rows. 40001 rows
+# make three slices of at least cli.SLICE_ROWS. The overflow orbit's rows
+# are inf or nan from step 1025 on, across both slice boundaries.
+SLICED = [
+    ("0.8 -1.1 --lambda 1.00001 --axis 0.7", True,
+     "56b5bbf806ee4d1c9ceb1a30ad0acb6a882838ab525bc2b722b748e9276a74f4",
+     "eaad98e51a986751cc284c588e2413695e6abfcdc58de51ec36d3a00147597fd"),
+    ("0.3 0.2 --lambda 2 --axis 0.4", True,
+     "8fdfe61a3d19e4f3a35f26aab4bf839731c64ed02f2bebad5ae3ded2890ee452",
+     "3862c993e18daadf97bd6963f02c109757a6786d5075e1defa2cd046b869c9b5"),
+    ("0.3 0.2 --lambda 0.5 --axis 0.4", True,
+     "18e0bc4728f6edb10e7be53927729eab761a65b8388fea8d7409686717ad88d7",
+     "c5d59c2675b81f1cf9644420542fc765ce79ebac5be5ff1c8620fd6a2696e663"),
+    ("0.8 -1.1 --lambda 0.99999 --axis 0.7", False,
+     "5aaf52b40d69c099143b9a5b2a95a539066bd91b94da86093ce99ade5af28f12",
+     "7337d98ced22fa4e8c3e9a0aac34af102be673c7598ddc3f07145387801b5c41"),
+]
+# Forcing the split in a test process that may run a BLAS thread pool makes
+# Python 3.12 and later warn about the fork; the renderer itself forks only
+# when the process runs one thread.
+forked_in_threads = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+def _sliced_digests(capsys, tmp_path, args, to_file):
+    csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+    argv = ["orbit", *args.split(), "--iters", "40000", "--svg", str(svg)]
+    code, out, err = run(capsys, *argv, *(["--out", str(csv)] if to_file else []))
+    assert (code, err) == (0, "")
+    text = csv.read_bytes() if to_file else out.encode()
+    return hashlib.sha256(text).hexdigest(), hashlib.sha256(svg.read_bytes()).hexdigest()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split(monkeypatch, cpus, fork=os.fork, one_thread=True) -> list:
+    """Makes the renderers see cpus CPUs, and one thread unless one_thread
+    is false; os.fork becomes fork, and each call appends to the list
+    returned."""
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    if one_thread:
+        monkeypatch.setattr(cli, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@forked_in_threads
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("args,to_file,csv_sha,svg_sha", SLICED,
+                         ids=["near-unit", "overflow", "underflow", "stdout"])
+def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, monkeypatch, cpus, args,
+                                               to_file, csv_sha, svg_sha):
+    forks = _split(monkeypatch, cpus)
+    assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
+    assert bool(forks) == (cpus > 1)
+    _assert_no_child_left()
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def _child_fails(fork=os.fork):  # the real fork, bound before any test patches it
+    pid = fork()
+    if pid == 0:
+        os._exit(1)
+    return pid
+
+
+@forked_in_threads
+@pytest.mark.parametrize("fork,sigchld", [
+    (_fork_fails, signal.SIG_DFL),
+    (_child_fails, signal.SIG_DFL),
+    (os.fork, signal.SIG_IGN),
+], ids=["fork-fails", "child-fails", "sigchld-ignored"])
+def test_sliced_rendering_redoes_a_failed_slice(capsys, tmp_path, monkeypatch, fork, sigchld):
+    # With SIGCHLD ignored the kernel reaps the children, so waitpid raises
+    # ChildProcessError, an OSError that must not become exit 3.
+    forks = _split(monkeypatch, 3, fork)
+    old = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        args, to_file, csv_sha, svg_sha = SLICED[0]
+        assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert len(forks) == 4  # two children for each renderer
+    _assert_no_child_left()
+
+
+def test_sliced_rendering_does_not_fork_beside_a_thread(capsys, tmp_path, monkeypatch):
+    forks = _split(monkeypatch, 3, _fork_fails, one_thread=False)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    thread.start()
+    try:
+        args, to_file, csv_sha, svg_sha = SLICED[0]
+        assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_thread_check_counts_os_threads():
+    # In a fresh process without numpy there is one thread, so large orbits
+    # render in forked slices; a second thread turns that off.
+    code = (
+        "import threading\n"
+        "from symdyn.cli import _one_thread\n"
+        "alone = _one_thread()\n"
+        "done = threading.Event()\n"
+        "thread = threading.Thread(target=done.wait, args=(60,))\n"
+        "thread.start()\n"
+        "print(alone, _one_thread())\n"
+        "done.set()\n"
+        "thread.join()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "False"]
 
 
 # --- start-up ----------------------------------------------------------------------------
