@@ -27,7 +27,7 @@ from .dynamics import (
     orbit,
     stable_set,
 )
-from .frobenius import SymMatN, frobenius_inner, is_in_psym, sym0_basis
+from .frobenius import SymMatN, frobenius_inner, is_in_psym, psym_witness, scaled, sym0_basis
 from .geometry import AxisLine, Direction, ReflectScale, compose_rotation_reflection, rotation_matrix
 
 EXIT_OK = 0
@@ -378,19 +378,16 @@ def cmd_psym(args) -> int:
     values = [float(t) for t in tokens[1:]]
     a = SymMatN.from_matrix([values[i:i + n] for i in range(0, n * n, n)], tol)
     if is_in_psym(a, tol):
-        c = float(a.to_matrix().trace()) / n
+        # s = 1 unless |a| overflows, where the diagonal's sum could too.
+        b, s, _ = scaled(a, tol)
+        c = float(b.to_matrix().trace()) / n / s
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
-    thresh = tol.eps * (1.0 + a.frobenius_norm())
-    witness = None
-    value = 0.0
-    for basis_elem in sym0_basis(n):
-        value = frobenius_inner(basis_elem, a)
-        if abs(value) > thresh:
-            witness = basis_elem
-            break
-    assert witness is not None
+    witness = sym0_basis(n)[psym_witness(a, tol)]
+    trace = frobenius_inner(witness, a)
+    if not math.isfinite(trace):
+        raise ValueError("the witness trace overflows float64")
     record = {"member": False, "n": n, "witness": witness.to_matrix().ravel().tolist(),
-              "trace": value}
+              "trace": trace}
     return _emit(record, args.json, ("n",))
 
 

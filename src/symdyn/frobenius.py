@@ -33,14 +33,15 @@ class SymMatN:
         expected = self.n * (self.n + 1) // 2
         if len(self.packed) != expected:
             raise ValueError(f"packed storage needs {expected} entries, got {len(self.packed)}")
-        if not all(math.isfinite(v) for v in self.packed):
+        if not all(map(math.isfinite, self.packed)):
             raise ValueError("entries must be finite")
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "SymMatN":
         """Ingest a full square array, validating symmetry within tol.
 
-        Mirror entries are averaged so the packed form is exactly symmetric.
+        Mirror entries are averaged so the packed form is exactly symmetric;
+        the mean of two finite entries is finite.
         """
         import numpy as np
 
@@ -52,14 +53,19 @@ class SymMatN:
             raise ValueError("n must be at least 2")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
+        rows = arr.tolist()
         packed = []
         for i in range(n):
             for j in range(i, n):
-                if not tol.close(arr[i, j], arr[j, i]):
+                x, y = rows[i][j], rows[j][i]
+                if not tol.close(x, y):
                     raise NotSymmetricError(
                         f"not symmetric: entries ({i},{j}) and ({j},{i}) differ"
                     )
-                packed.append(0.5 * (arr[i, j] + arr[j, i]) if i != j else float(arr[i, i]))
+                # A diagonal entry averages to itself. x + y overflows only
+                # near the float limit, where halving each first is exact.
+                mean = 0.5 * (x + y)
+                packed.append(mean if math.isfinite(mean) else 0.5 * x + 0.5 * y)
         return cls(n, tuple(packed))
 
     @classmethod
@@ -72,28 +78,35 @@ class SymMatN:
         import numpy as np
 
         out = np.empty((self.n, self.n))
-        k = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                out[i, j] = self.packed[k]
-                out[j, i] = self.packed[k]
-                k += 1
+        rows, cols = np.triu_indices(self.n)
+        out[rows, cols] = out[cols, rows] = self.packed
         return out
 
     def frobenius_norm(self) -> float:
+        """The Frobenius norm; inf, without a warning, when it overflows."""
         import numpy as np
 
-        return float(np.linalg.norm(self.to_matrix()))
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.to_matrix()))
 
 
 def frobenius_inner(a: SymMatN, b: SymMatN) -> float:
     """Trace of the matrix product: the Frobenius inner product on SymMatN.
 
-    Symmetric, bilinear, and positive definite.
+    Symmetric, bilinear, and positive definite. It is inf, without a
+    warning, when the trace overflows.
     """
+    import numpy as np
+
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return float((a.to_matrix() @ b.to_matrix()).trace())
+    with np.errstate(over="ignore"):
+        return float((a.to_matrix() @ b.to_matrix()).trace())
+
+
+def _diagonal(n: int) -> list[int]:
+    # Packed index of (i, i) for i < n, then the length: row i is [d[i], d[i + 1]).
+    return [i * n - i * (i - 1) // 2 for i in range(n + 1)]
 
 
 def sym0_basis(n: int) -> list[SymMatN]:
@@ -102,23 +115,50 @@ def sym0_basis(n: int) -> list[SymMatN]:
     Consecutive diagonal differences diag(..., 1, -1, ...) followed by the
     symmetrized off-diagonal units, n(n+1)/2 - 1 matrices in total.
     """
-    import numpy as np
-
     if n < 2:
         raise ValueError("n must be at least 2")
-    out: list[SymMatN] = []
-    for i in range(n - 1):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        m[i + 1, i + 1] = -1.0
-        out.append(SymMatN.from_matrix(m))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            out.append(SymMatN.from_matrix(m))
-    return out
+    d = _diagonal(n)
+
+    def unit(*entries: tuple[int, float]) -> SymMatN:
+        packed = [0.0] * d[n]
+        for k, v in entries:
+            packed[k] = v
+        return SymMatN(n, tuple(packed))
+
+    return ([unit((d[i], 1.0), (d[i + 1], -1.0)) for i in range(n - 1)]
+            + [unit((k, 1.0)) for i in range(n) for k in range(d[i] + 1, d[i + 1])])
+
+
+def scaled(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> tuple[SymMatN, float, float]:
+    """(s * a, s, s * eps * (1 + |a|)) for a power of two s, |a| the Frobenius
+    norm: the pairing threshold of a in coordinates where |a| is finite.
+
+    s is 1 while |a| is finite. Otherwise s brings the largest entry into
+    [0.5, 1): that is exact for every entry it leaves in the normal range, and
+    the others lie hundreds of orders of magnitude below the threshold.
+    """
+    norm = a.frobenius_norm()
+    if math.isfinite(norm):
+        return a, 1.0, tol.eps * (1.0 + norm)
+    s = math.ldexp(1.0, -math.frexp(max(map(abs, a.packed)))[1])
+    b = SymMatN(a.n, tuple(v * s for v in a.packed))
+    return b, s, tol.eps * (s + b.frobenius_norm())
+
+
+def _pairings(a: SymMatN) -> list[float]:
+    # Tr(B a) for each B of sym0_basis(a.n), as the floats frobenius_inner
+    # gives: a_ii - a_(i+1)(i+1) for each diagonal difference, then 2 a_ij.
+    p, d = a.packed, _diagonal(a.n)
+    out = [p[d[i]] - p[d[i + 1]] for i in range(a.n - 1)]
+    return out + [2.0 * v for i in range(a.n) for v in p[d[i] + 1:d[i + 1]]]
+
+
+def psym_witness(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> int | None:
+    """Index in sym0_basis(a.n) of the first B with |Tr(B a)| above
+    eps * (1 + |a|), |a| the Frobenius norm, or None when a is in Psym. The
+    threshold scales with |a| because the pairing does."""
+    b, _, thresh = scaled(a, tol)
+    return next((k for k, v in enumerate(_pairings(b)) if abs(v) > thresh), None)
 
 
 def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -129,8 +169,8 @@ def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
     norm. That is the threshold is_in_psym puts on the pairings, so the two
     tests give the same answer on every input, as the theorem says they must.
     """
-    m = a.to_matrix()
-    thresh = tol.eps * (1.0 + a.frobenius_norm())
+    b, _, thresh = scaled(a, tol)
+    m = b.to_matrix()
     if any(abs(m[i, i] - m[i + 1, i + 1]) > thresh for i in range(a.n - 1)):
         return False
     return all(abs(m[i, j] + m[j, i]) <= thresh
@@ -138,13 +178,9 @@ def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether Tr(B a) vanishes for every trace-zero symmetric B.
-
-    Bilinearity reduces the quantifier to the finite basis; the threshold
-    scales with the Frobenius norm of a because the pairing does.
-    """
-    thresh = tol.eps * (1.0 + a.frobenius_norm())
-    return all(abs(frobenius_inner(b, a)) <= thresh for b in sym0_basis(a.n))
+    """Whether Tr(B a) vanishes for every trace-zero symmetric B: by
+    bilinearity, whether psym_witness finds no basis element that pairs."""
+    return psym_witness(a, tol) is None
 
 
 def psym_dimension(n: int) -> int:
@@ -158,12 +194,11 @@ def psym_dimension(n: int) -> int:
 
     if n < 2:
         raise ValueError("n must be at least 2")
-    basis = sym0_basis(n)
-    full = n * (n + 1) // 2
-    gram = np.array([[frobenius_inner(x, y) for y in basis] for x in basis])
-    r0 = int(np.linalg.matrix_rank(gram))
-    ext = basis + [SymMatN.identity(n)]
-    gram_ext = np.array([[frobenius_inner(x, y) for y in ext] for x in ext])
+    v = np.array([b.packed for b in sym0_basis(n) + [SymMatN.identity(n)]])
+    full = v.shape[1]
+    # Tr(XY) counts the packed diagonal (the last row, I) once and the rest twice.
+    gram_ext = (v * (2.0 - v[-1])) @ v.T
+    r0 = int(np.linalg.matrix_rank(gram_ext[:-1, :-1]))
     r1 = int(np.linalg.matrix_rank(gram_ext))
     if r0 != full - 1 or r1 != full:
         raise ArithmeticError("trace-zero basis failed its rank cross-check")

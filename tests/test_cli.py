@@ -4,10 +4,12 @@ import json
 import math
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -311,6 +313,65 @@ def test_psym_malformed_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "psym", _write(tmp_path, "m2.txt", "two 1 2 3 4"))
     assert code == 2
+
+
+def _psym64(witness: bool) -> str:
+    # 1.75 * I plus seeded noise far below the threshold; the diagonal sums
+    # to a different float in numpy's pairwise order than left to right. With
+    # witness, the last off-diagonal pair is moved, so the witness is the last
+    # basis element and every pairing before it is examined.
+    rng = random.Random(64)
+    n = 64
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 1.75 + rng.uniform(-1e-11, 1e-11)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.uniform(-1e-12, 1e-12)
+    if witness:
+        m[n - 2][n - 1] = m[n - 1][n - 2] = 1e-3
+    return f"{n}\n" + "\n".join(" ".join(map(repr, row)) for row in m) + "\n"
+
+
+# sha256 of stdout, taken with the basis search that read each pairing
+# through frobenius_inner (13 to 30 s per run on a 2-core x86 host).
+PSYM64_DIGESTS = {
+    (False, False): "d8dc7e1c8f4c8bcd7be955d5c0725cf644f12f3455f87c7d7f13b3d742a555b6",
+    (False, True): "3bb932e2c77577622b16f863c1ee1e1569d341816de7633c87abf8186c1ad073",
+    (True, False): "71212e452d85dc7a1554782f9648342cd0ad399361bfa3df969beddd50711d6a",
+    (True, True): "f37e81d6adbcff90b1fd9a9ff5f5091f025d7f409eafeac2a412dcb5b083a60a",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("witness", [False, True], ids=["member", "near-scalar"])
+def test_psym_n64_bytes_and_time(capsys, tmp_path, witness, as_json):
+    text = _psym64(witness)
+    path = _write(tmp_path, "m.txt", text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "psym", path, *(["--json"] if as_json else []))
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PSYM64_DIGESTS[witness, as_json]
+    # About 0.35 s for the near-scalar input on a 2-core x86 host.
+    assert elapsed < 3.0
+    if not witness:  # c is the diagonal's mean summed in numpy's pairwise order
+        left_to_right = sum(float(t) for t in text.split()[1::65]) / 64
+        assert f"{left_to_right:.17g}" not in out and repr(left_to_right) not in out
+
+
+def test_psym_entries_near_the_float_limit(capsys, tmp_path):
+    # The threshold eps * (1 + |a|) is taken in coordinates scaled by a power
+    # of two once |a| overflows; before, it was inf and every matrix a member.
+    rec = run_json(capsys, "psym", _write(tmp_path, "a.txt", "2  1e200 0  0 0"))
+    assert rec == {"member": False, "n": 2, "witness": [1.0, 0.0, 0.0, -1.0], "trace": 1e200}
+    rec = run_json(capsys, "psym", _write(tmp_path, "b.txt", "2  1.7e308 0  0 1.7e308"))
+    assert rec == {"member": True, "n": 2, "c": 1.7e308}
+    code, out, err = run(capsys, "psym", _write(tmp_path, "c.txt", "2  1 1.7e308  1.7e308 1"))
+    assert (code, out) == (2, "")
+    assert err == "error: the witness trace overflows float64\n"
+    code, out, err = run(capsys, "psym", _write(tmp_path, "d.txt", "2  1 1e308  -1e308 1"))
+    assert (code, out) == (2, "")
+    assert err == "error: not symmetric: entries (0,1) and (1,0) differ\n"
 
 
 # --- ortho-classify -----------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +32,17 @@ def test_from_matrix_round_trips():
 def test_from_matrix_rejects_asymmetry():
     with pytest.raises(core.NotSymmetricError):
         SymMatN.from_matrix([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_from_matrix_is_safe_near_the_float_limit():
+    # The mean of two finite mirror entries is finite, equal ones pack as
+    # themselves, and telling mirrors apart raises no overflow warning.
+    assert SymMatN.from_matrix([[1.0, 1.7e308], [1.7e308, 1.0]]).packed == (1.0, 1.7e308, 1.0)
+    near = SymMatN.from_matrix([[-1.7e308, 1.7e308], [1.7e308 * (1 - 1e-12), 0.0]])
+    assert math.isfinite(near.packed[1]) and near.packed[1] <= 1.7e308
+    assert near.packed[0] == -1.7e308
+    with pytest.raises(core.NotSymmetricError):
+        SymMatN.from_matrix([[1.0, 1e308], [-1e308, 1.0]])
 
 
 def test_from_matrix_rejects_small_and_nonsquare():
@@ -130,6 +143,44 @@ def test_basis_rejects_small_n():
         frobenius.sym0_basis(1)
 
 
+def _spread(rng: random.Random, n: int) -> SymMatN:
+    # Entries of either sign with magnitudes from 1e-300 to 1e150.
+    count = n * (n + 1) // 2
+    return SymMatN(n, tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 150.0)
+                            for _ in range(count)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 17, 64])
+def test_pairings_are_frobenius_inner_bit_for_bit(n):
+    # n >= 8 reaches numpy's blocked summation in the trace.
+    rng = random.Random(8000 + n)
+    basis = frobenius.sym0_basis(n)
+    for _ in range(1 if n == 64 else 4):
+        a = _spread(rng, n)
+        got = frobenius._pairings(a)
+        want = [frobenius.frobenius_inner(b, a) for b in basis]
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 17])
+def test_witness_is_the_first_pairing_over_the_threshold(n):
+    rng = random.Random(9000 + n)
+    basis = frobenius.sym0_basis(n)
+    for k in range(6):
+        if k % 2:  # c * I plus noise on both sides of the threshold
+            c = rng.uniform(-3.0, 3.0)
+            m = [[c * (i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = m[i][j] + rng.choice((-1, 1)) * 10 ** rng.uniform(-11, -8)
+            a = SymMatN.from_matrix(m)
+        else:
+            a = _spread(rng, n)
+        thresh = 1e-9 * (1.0 + a.frobenius_norm())
+        over = [i for i, b in enumerate(basis) if abs(frobenius.frobenius_inner(b, a)) > thresh]
+        assert frobenius.psym_witness(a) == (over[0] if over else None)
+
+
 # --- is_scalar_matrix ---------------------------------------------------------------
 
 
@@ -157,6 +208,33 @@ def test_distinct_diagonal_does_not_belong():
     # the pairing against diag(1, -1, 0) is 1 - 2 = -1 by hand
     witness = frobenius.sym0_basis(3)[0]
     assert frobenius.frobenius_inner(witness, a) == -1.0
+
+
+def test_a_pairing_equal_to_the_threshold_does_not_count():
+    # For a = diag(t, 0) this t is exactly eps * (1 + |a|): the test is strict.
+    t = 1.0000000010000002e-09
+    a = SymMatN(2, (t, 0.0, 0.0))
+    assert 1e-9 * (1.0 + a.frobenius_norm()) == t
+    assert frobenius.psym_witness(a) is None
+    assert frobenius.is_scalar_matrix(a)
+
+
+@pytest.mark.parametrize("packed,member", [
+    ((1e200, 0.0, 0.0), False),
+    ((1e200, 1e200, 1e200), False),
+    ((1.7e308, 0.0, 1.7e308), True),
+    ((1.7e308, 0.0, -1.7e308), False),
+    ((1.7e308, 1e290, 1.7e308), True),
+    ((1e300, 0.0, 1e300 * (1.0 + 1e-10)), True),
+    ((1e300, 0.0, 1e300 * (1.0 + 1e-8)), False),
+])
+def test_membership_with_entries_beyond_the_norm_range(packed, member):
+    # |a| overflows here, so the threshold eps * (1 + |a|) is taken in
+    # coordinates scaled by a power of two instead of becoming inf; no
+    # overflow warning is raised (pytest turns them into errors).
+    a = SymMatN(2, packed)
+    assert frobenius.is_in_psym(a) is member
+    assert frobenius.is_scalar_matrix(a) is member
 
 
 @settings(max_examples=60)
