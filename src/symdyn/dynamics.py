@@ -4,7 +4,7 @@ Everything here rides on two exact facts: the square of a reflection is the
 identity, so the n-th power of the map is lam**n times either the identity
 (n even) or the reflection itself (n odd); and the map scales every pairwise
 distance by |lam| per step. The classifiers below are closed-form consequences,
-and the orbit iterator cross-checks them empirically.
+and the orbit iterator reports the closed-form cardinality alongside its trace.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class OrbitRecord:
     the map's image of the one before. xs and ys are array('d')s, 8 bytes
     a coordinate, and the only mutable part of a record: treat them as
     read-only. points gives the same trace as Point2s, built anew on each
-    read. truncated_at is the first n whose point is not a normal float
-    (its norm is below sys.float_info.min, infinite or nan), or the step
-    count when every point is normal; revisits are looked for only before
-    it. cardinality is the empirical distinct-point count when a revisit
-    was observed, otherwise the closed-form classification.
+    read. cardinality is the closed-form classify_orbit_cardinality of the
+    start and map. truncated_at is the first n whose point is not a normal
+    float (its norm is below sys.float_info.min, infinite or nan), or the
+    step count when every point is normal; from there on the floats no
+    longer follow the exact orbit.
     """
 
     start: Point2
@@ -158,57 +158,28 @@ def orbit(
     """Iterate the map max_iter times from p, recording every point in xs, ys.
 
     Each step repeats apply_T's operations in the same order, so the points
-    are bit-identical to calling it. The n-th power of the map is lam**n
-    times the identity or the reflection, so a true cycle has period 1 or
-    2: each new point is compared only with the previous point and the one
-    before it. It revisits one of them when it lies within
-    eps * max(|new|, |old|); the radius scales with the points themselves
-    so that contracting or expanding orbits never alias. Comparisons stop
-    at truncated_at, the first point that is not a normal float, because
-    past it an underflowed or overflowed iterate says nothing about the
-    exact orbit. With a revisit observed the empirical distinct count is
-    reported; otherwise the closed-form classification is authoritative.
+    are bit-identical to calling it. The cardinality is the closed form of
+    classify_orbit_cardinality: the n-th power of the map is lam**n times
+    the identity or the reflection, so the orbit's size follows from lam and
+    the start alone, however many steps are taken. truncated_at marks the
+    first point that is not a normal float, past which an underflowed or
+    overflowed iterate says nothing about the exact orbit.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
-    eps, lam, tiny, hypot = tol.eps, m.lam, sys.float_info.min, math.hypot
+    lam, tiny, hypot, inf = m.lam, sys.float_info.min, math.hypot, math.inf
     t = 2.0 * m.axis.phi
     c, s = math.cos(t), math.sin(t)
     x, y = p.x, p.y
     xs, ys = [x], [y]
     append_x, append_y = xs.append, ys.append
-    nrm = hypot(x, y)
-    truncated_at = max_iter if tiny <= nrm < math.inf else 0
-    distinct = 1
-    revisit = False
-    # The previous point (x1, y1) and the one before it (x0, y0), with their
-    # norms; before the second step both are the start.
-    x0, y0, n0 = x1, y1, n1 = x, y, nrm
+    truncated_at = max_iter if tiny <= hypot(x, y) < inf else 0
     for n in range(1, max_iter + 1):
         x, y = lam * (x * c + y * s), lam * (x * s - y * c)
         append_x(x)
         append_y(y)
-        if n <= truncated_at:
-            nrm = hypot(x, y)
-            if not tiny <= nrm < math.inf:
-                truncated_at = n
-            else:
-                r1 = eps * (nrm if nrm > n1 else n1)
-                r0 = eps * (nrm if nrm > n0 else n0)
-                # hypot(dx, dy) >= |dx|, so a point whose dx is out of reach
-                # is skipped without the hypot call that would fail anyway.
-                if (-r1 <= x - x1 <= r1 and hypot(x - x1, y - y1) <= r1
-                        or -r0 <= x - x0 <= r0 and hypot(x - x0, y - y0) <= r0):
-                    revisit = True
-                else:
-                    distinct += 1
-            x0, y0, n0 = x1, y1, n1
-            x1, y1, n1 = x, y, nrm
-    card: Finite | Infinite
-    if revisit:
-        card = Finite(distinct)
-    else:
-        card = classify_orbit_cardinality(p, m, tol)
+        if n <= truncated_at and not tiny <= hypot(x, y) < inf:
+            truncated_at = n
     # The loop appends to lists, which costs less per step than appending to
     # arrays; each list goes, with its floats, once its array is built.
     from array import array
@@ -216,7 +187,9 @@ def orbit(
     del append_x, append_y
     xs = array("d", xs)
     ys = array("d", ys)
-    return OrbitRecord(start=p, map=m, xs=xs, ys=ys, cardinality=card, truncated_at=truncated_at)
+    return OrbitRecord(start=p, map=m, xs=xs, ys=ys,
+                       cardinality=classify_orbit_cardinality(p, m, tol),
+                       truncated_at=truncated_at)
 
 
 def classify_convergence(

@@ -72,3 +72,20 @@ def iterate_map(x: float, y: float, lam: float, axis_angle: float, n: int):
 
 def dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.hypot(ax - bx, ay - by)
+
+
+def distinct_points(xs, ys, eps: float) -> int:
+    """Count the points of a trace, each new unless it revisits a recent one.
+
+    A point revisits the previous point or the one before it when it lies
+    within eps * max(|new|, |old|) of it; a true cycle of the map has period
+    1 or 2, so no older point needs a look.
+    """
+    count = 0
+    recent = []
+    for x, y in zip(xs, ys):
+        r = math.hypot(x, y)
+        if not any(dist(x, y, ox, oy) <= eps * max(r, orr) for ox, oy, orr in recent):
+            count += 1
+        recent = [(x, y, r)] + recent[:1]
+    return count

@@ -122,10 +122,11 @@ def test_power_identity_criterion():
 
 
 def test_orbit_finiteness_law():
-    # finite scales: empirical distinct count equals the closed form;
-    # generic scales (0.05 away from 0 and +-1, start norm >= 0.1):
-    # no revisit in 50 iterations and verdict Infinite
+    # finite scales: the oracle's distinct count of the trace equals the
+    # closed form; generic scales (0.05 away from 0 and +-1, start norm
+    # >= 0.1): verdict Infinite and no revisit in 50 iterations
     rng = np.random.default_rng(505)
+    eps = core.DEFAULT_TOL.eps
     t0 = time.perf_counter()
     bad_finite = 0
     for _ in range(1_000):
@@ -137,7 +138,7 @@ def test_orbit_finiteness_law():
         m = ReflectScale(lam, AxisLine(phi))
         rec = dynamics.orbit(p, m, 50)
         analytic = dynamics.classify_orbit_cardinality(p, m)
-        if rec.cardinality != analytic:
+        if oracles.distinct_points(rec.xs, rec.ys, eps) != analytic.size:
             bad_finite += 1
     bad_generic = 0
     for _ in range(1_000):
@@ -150,7 +151,7 @@ def test_orbit_finiteness_law():
         if p.norm() < 0.1:
             p = Point2(p.x + 1.0, p.y)
         rec = dynamics.orbit(p, ReflectScale(lam, AxisLine(phi)), 50)
-        if rec.cardinality != Infinite():
+        if rec.cardinality != Infinite() or oracles.distinct_points(rec.xs, rec.ys, eps) != 51:
             bad_generic += 1
     elapsed = time.perf_counter() - t0
     ok = bad_finite == 0 and bad_generic == 0 and elapsed < 2.0

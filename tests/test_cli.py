@@ -125,6 +125,19 @@ def test_orbit_csv_schema(capsys):
     assert "convergence[Usual] = ConvergesTo (0, 0)" in out
 
 
+def test_orbit_and_classify_print_the_same_cardinality(capsys):
+    # 1e-11 off the axis is on it within tol; the orbit's reflections move
+    # the point by 2e-11, which must not turn it into a two-point orbit
+    args = ("1e-3", "1e-11", "--lambda", "1", "--axis", "0")
+    _, orbit_out, _ = run(capsys, "orbit", *args, "--iters", "4")
+    _, classify_out, _ = run(capsys, "classify", *args)
+    line = "cardinality = Finite(1)\n"
+    assert line in orbit_out and line in classify_out
+    orbit_rec = run_json(capsys, "orbit", *args, "--iters", "4")
+    classify_rec = run_json(capsys, "classify", *args)
+    assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {"kind": "Finite", "size": 1}
+
+
 def test_orbit_verdicts_json(capsys):
     rec = run_json(capsys, "orbit", "1", "1", "--lambda", "1", "--axis", "0.7853981634",
                    "--iters", "5")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import dynamics
-from symdyn.core import Point2
+from symdyn.core import DEFAULT_TOL, Point2
 from symdyn.dynamics import (
     ConvergesTo,
     DivergesToInfinity,
@@ -182,8 +182,8 @@ def _bits(p):
     (Point2(1.0, 0.0), 1e200, 0.3, 5, 2),
     (Point2(1.0, 0.0), 0.5, 0.3, 1100, 1023),  # underflows to 0
     (Point2(1e-310, 0.0), 1e10, 0.3, 5, 0),  # subnormal start
-    (Point2(1.0, 0.0), 1.0, math.pi / 4.0, 10, 10),  # revisits from step 2
-], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "revisit"])
+    (Point2(1.0, 0.0), 1.0, math.pi / 4.0, 10, 10),  # alternates from step 1
+], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "period-two"])
 def test_orbit_consecutive_points_follow_the_map(start, lam, phi, max_iter, truncated_at):
     # orbit() repeats apply_T's operations inline; every point must be the
     # one apply_T gives, bit for bit, before and after truncated_at
@@ -201,13 +201,22 @@ def test_orbit_rejects_zero_iterations():
         dynamics.orbit(Point2(1.0, 0.0), _mk(1.0, 0.0), 0)
 
 
-def test_orbit_long_traces_use_windowed_scan():
-    # each point is compared only with the previous two, which must catch
-    # period-2 revisits and keep generic no-revisit verdicts over long traces
+def _empirical_size(rec):
+    # the oracle's count of the trace, in the closed form's terms: an orbit
+    # with no revisit in its trace has as many points as the trace
+    count = oracles.distinct_points(rec.xs, rec.ys, DEFAULT_TOL.eps)
+    return Infinite() if count == len(rec.xs) else Finite(count)
+
+
+def test_long_traces_count_as_the_closed_form():
+    # a period-2 orbit revisits its two points for 2000 steps, and a generic
+    # one keeps every point distinct for as long
     rec = dynamics.orbit(Point2(1.0, 0.0), _mk(1.0, math.pi / 4.0), 2000)
     assert rec.cardinality == Finite(2)
+    assert _empirical_size(rec) == Finite(2)
     rec = dynamics.orbit(Point2(1.0, 0.3), _mk(-1.2, 0.7), 2000)
     assert rec.cardinality == Infinite()
+    assert _empirical_size(rec) == Infinite()
     assert len(rec.points) == 2001
 
 
@@ -233,16 +242,38 @@ def test_orbit_truncates_at_a_start_that_is_not_normal():
     assert rec.truncated_at == 0
 
 
-def test_orbit_revisits_the_point_before_the_previous_one():
+def test_orbit_cardinality_is_the_closed_form():
     # 1e-11 off the axis is on it within tol, so the closed form says
-    # Finite(1); each reflection moves the point 2e-11, past the revisit
-    # radius 1e-9 * |p|, so only the point two back is revisited
+    # Finite(1), however many steps the trace takes, even though each
+    # reflection moves the point by 2e-11 = 2e-8 * |p|
     p = Point2(1e-3, 1e-11)
     m = _mk(1.0, 0.0)
     assert dynamics.classify_orbit_cardinality(p, m) == Finite(1)
-    assert dynamics.orbit(p, m, 10).cardinality == Finite(2)
-    # with two steps the revisit is the last step, which is checked too
-    assert dynamics.orbit(p, m, 2).cardinality == Finite(2)
+    for max_iter in (2, 4, 10):
+        assert dynamics.orbit(p, m, max_iter).cardinality == Finite(1)
+
+
+# scales on and within a few 1e-10 of the classification boundaries
+near_band_lams = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.builds(lambda c, k: c + k * 1e-10, st.sampled_from([1.0, -1.0]),
+              st.integers(min_value=-20, max_value=20)),
+)
+
+
+@settings(max_examples=200)
+@given(near_band_lams, axis_angles, st.floats(min_value=1e-6, max_value=1e3),
+       st.sampled_from([0.0, math.pi / 2.0]), st.floats(min_value=-4.0, max_value=4.0),
+       st.integers(min_value=1, max_value=64))
+def test_orbit_cardinality_matches_the_classifier_near_the_fixed_lines(
+        lam, phi, r, turn, k, max_iter):
+    # starts at radius r on the axis (turn 0) or its perpendicular (turn
+    # pi/2), moved off it by k * eps * r: both sides of the tolerance band
+    a = phi + turn
+    off = k * DEFAULT_TOL.eps * r
+    p = Point2(r * math.cos(a) - off * math.sin(a), r * math.sin(a) + off * math.cos(a))
+    m = _mk(lam, phi)
+    assert dynamics.orbit(p, m, max_iter).cardinality == dynamics.classify_orbit_cardinality(p, m)
 
 
 @settings(max_examples=100)
@@ -259,7 +290,7 @@ def test_empirical_count_matches_closed_form_on_finite_scales(lam, phi, x, y):
     m = ReflectScale(lam, axis)
     analytic = dynamics.classify_orbit_cardinality(p, m)
     rec = dynamics.orbit(p, m, 12)
-    assert rec.cardinality == analytic
+    assert _empirical_size(rec) == analytic
 
 
 def test_empirical_count_matches_closed_form_on_fixed_lines():
@@ -275,7 +306,7 @@ def test_empirical_count_matches_closed_form_on_fixed_lines():
         ]:
             m = _mk(lam, phi)
             assert dynamics.classify_orbit_cardinality(p, m) == expected
-            assert dynamics.orbit(p, m, 12).cardinality == expected
+            assert _empirical_size(dynamics.orbit(p, m, 12)) == expected
 
 
 @settings(max_examples=100)
