@@ -1,5 +1,6 @@
 import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import core
-from symdyn.dynamics import power_T
-from symdyn.geometry import AxisLine, Direction, ReflectScale, rotation_matrix
+from symdyn.dynamics import (ConvergenceVerdict, ConvergesTo, DivergesToInfinity, Finite,
+                             Infinite, NotConvergent, OrbitRecord, Topology, power_T)
+from symdyn.frobenius import SymMatN
+from symdyn.geometry import AxisLine, Direction, ReflectScale, mod_pi, rotation_matrix
 
 TAU = 2.0 * math.pi
 
@@ -278,3 +281,82 @@ def test_mod_2pi_range_and_idempotence():
         r = core.mod_2pi(x)
         assert 0.0 <= r < TAU
         assert core.mod_2pi(r) == r
+
+
+# --- value types --------------------------------------------------------------
+
+_P = core.Point2(1.0, 2.0)
+_AXIS = AxisLine(0.5)
+_MAP = ReflectScale(2.0, _AXIS)
+_ROT = core.OrthogonalVariant.ROTATION
+
+# Each value type with canonical positional arguments, the repr they give,
+# and an instance that differs from them in one field or in its class.
+VALUES = [
+    (core.Tolerance, (1e-06,), "Tolerance(eps=1e-06)", core.Tolerance()),
+    (core.Point2, (1.0, 2.0), "Point2(x=1.0, y=2.0)", core.Point2(1.0, -2.0)),
+    (core.TraceZeroSym2, (2.0, 0.5), "TraceZeroSym2(lam=2.0, theta=0.5)",
+     core.TraceZeroSym2(2.0, 0.25)),
+    (core.Orthogonal2, (_ROT, 0.5),
+     "Orthogonal2(variant=<OrthogonalVariant.ROTATION: 'Rotation'>, angle=0.5)",
+     core.Orthogonal2(core.OrthogonalVariant.REFLECTION, 0.5)),
+    (AxisLine, (0.5,), "AxisLine(phi=0.5)", AxisLine(0.25)),
+    (ReflectScale, (2.0, _AXIS), "ReflectScale(lam=2.0, axis=AxisLine(phi=0.5))",
+     ReflectScale(2.0, AxisLine(0.25))),
+    (Finite, (2,), "Finite(size=2)", Finite(1)),
+    (Infinite, (), "Infinite()", Finite(2)),
+    (ConvergesTo, (_P,), "ConvergesTo(limit=Point2(x=1.0, y=2.0))",
+     ConvergesTo(core.ORIGIN)),
+    (NotConvergent, (), "NotConvergent()", DivergesToInfinity()),
+    (DivergesToInfinity, (), "DivergesToInfinity()", NotConvergent()),
+    (ConvergenceVerdict, (Topology.USUAL, NotConvergent()),
+     "ConvergenceVerdict(topology=<Topology.USUAL: 'Usual'>, verdict=NotConvergent())",
+     ConvergenceVerdict(Topology.DISCRETE, NotConvergent())),
+    (OrbitRecord, (_P, _MAP, array("d", [1.0]), array("d", [2.0]), Finite(1), 1),
+     "OrbitRecord(start=Point2(x=1.0, y=2.0), map=ReflectScale(lam=2.0, "
+     "axis=AxisLine(phi=0.5)), xs=array('d', [1.0]), ys=array('d', [2.0]), "
+     "cardinality=Finite(size=1), truncated_at=1)",
+     OrbitRecord(_P, _MAP, array("d", [1.0]), array("d", [2.0]), Finite(1), 0)),
+    (SymMatN, (2, (1.0, 0.0, -1.0)), "SymMatN(n=2, packed=(1.0, 0.0, -1.0))",
+     SymMatN(2, (1.0, 0.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("cls,args,text,other", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_types_are_frozen_values(cls, args, text, other):
+    names = cls.__match_args__
+    a = cls(*args)
+    b = cls(**dict(zip(names, args)))
+    assert tuple(getattr(a, n) for n in names) == args
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert a != args and a.__eq__(args) is NotImplemented
+    assert repr(a) == repr(b) == text
+    if cls is OrbitRecord:  # its arrays are mutable, so the record is unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        cls(*args, 0)
+    name = names[0] if names else "size"
+    with pytest.raises(AttributeError):
+        setattr(a, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert a == b
+
+
+def test_value_types_keep_defaults_checks_and_canonical_forms():
+    assert core.Tolerance() == core.Tolerance(1e-9) == core.Tolerance(eps=1e-9)
+    assert core.Tolerance.eps == core.Tolerance().eps == 1e-9
+    assert Infinite() == Infinite() and hash(Infinite()) == hash(Infinite())
+    assert Finite(1) != Infinite() and NotConvergent() != DivergesToInfinity()
+    assert core.Point2(0.0, 0.0) != (0.0, 0.0)
+    for bad in (lambda: core.Tolerance(0.0), lambda: AxisLine(math.nan),
+                lambda: ReflectScale(math.inf, _AXIS), lambda: SymMatN(2, (1.0, 2.0))):
+        with pytest.raises(ValueError):
+            bad()
+    assert core.TraceZeroSym2(-1.0, 0.0).theta == math.pi
+    assert AxisLine(4.0).phi == mod_pi(4.0)
+    assert core.Orthogonal2(_ROT, -1.0).angle == core.mod_2pi(-1.0)
