@@ -9,7 +9,6 @@ record, which _emit prints as key = value text or as one --json line.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -90,6 +89,8 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     is printed.
     """
     if as_json:
+        import json  # text output skips its import
+
         record = {k: [x for row in v for x in row] if isinstance(v, tuple) else v
                   for k, v in record.items()}
         print(json.dumps(record, default=_json, allow_nan=False))

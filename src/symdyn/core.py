@@ -9,7 +9,6 @@ This module constructs, decomposes and classifies both families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -31,7 +30,59 @@ class NotOrthogonalError(ValueError):
     """Input matrix columns are not orthonormal within tolerance."""
 
 
-@dataclass(frozen=True)
+class FrozenInstanceError(AttributeError):
+    """An attribute of a frozen value was assigned or deleted."""
+
+
+def frozen(cls):
+    """Make cls an immutable value type whose fields are its own annotations.
+
+    The annotations give the field names in order and are never evaluated.
+    A field with a class attribute takes it as its default. cls gets an
+    __init__ by position or keyword that sets the fields and then calls
+    __post_init__, if cls has one (which may still set a field with
+    object.__setattr__); == and hash over the field tuple, between instances
+    of the same class only; repr as Name(field=value, ...); __match_args__;
+    and FrozenInstanceError on assigning or deleting any attribute.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    # The __init__ is compiled for cls: setting each field by name costs
+    # less per call than a shared __init__ that loops over its arguments.
+    params = "".join(f", {n}=_cls.{n}" if n in cls.__dict__ else f", {n}" for n in names)
+    src = (f"def __init__(self{params}):\n"
+           + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+           + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "    pass\n")
+           + f"def key(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n")
+    ns = {"_cls": cls, "_set": object.__setattr__}
+    exec(src, ns)
+    key = ns["key"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (ns["__init__"], __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@frozen
 class Tolerance:
     """Scale-aware comparison threshold.
 
@@ -75,7 +126,7 @@ def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
     return lam, theta
 
 
-@dataclass(frozen=True)
+@frozen
 class Point2:
     """A point of the plane."""
 
@@ -95,7 +146,7 @@ class Point2:
 ORIGIN = Point2(0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceZeroSym2:
     """Canonical (lam, theta) coordinates of a trace-zero symmetric matrix.
 
@@ -140,7 +191,7 @@ class OrthogonalVariant(Enum):
     REFLECTION = "Reflection"
 
 
-@dataclass(frozen=True)
+@frozen
 class Orthogonal2:
     """A classified 2x2 orthogonal matrix: rotation or reflection plus angle."""
 

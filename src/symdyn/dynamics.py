@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_TOL, Point2, Tolerance
+from .core import DEFAULT_TOL, Point2, Tolerance, frozen
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
 if TYPE_CHECKING:
@@ -24,14 +23,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@frozen
 class Finite:
     """An orbit with exactly `size` distinct points."""
 
     size: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Infinite:
     """An orbit with infinitely many distinct points."""
 
@@ -41,22 +40,22 @@ class Topology(Enum):
     USUAL = "Usual"
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergesTo:
     limit: Point2
 
 
-@dataclass(frozen=True)
+@frozen
 class NotConvergent:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class DivergesToInfinity:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergenceVerdict:
     topology: Topology
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
@@ -67,7 +66,7 @@ class StableSet(Enum):
     SINGLETON_SELF = "SingletonSelf"
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitRecord:
     """Trace of iterating a reflect-then-scale map from a start point.
 

@@ -8,16 +8,15 @@ matrices. The operations here make both sides of that statement checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_TOL, NotSymmetricError, Tolerance
+from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, frozen
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@frozen
 class SymMatN:
     """An n x n real symmetric matrix, n >= 2, stored as the packed upper triangle.
 

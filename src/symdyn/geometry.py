@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_TOL, Point2, Tolerance, mod_2pi
+from .core import DEFAULT_TOL, Point2, Tolerance, frozen, mod_2pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,7 +27,7 @@ def mod_pi(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@frozen
 class AxisLine:
     """The line through the origin at angle phi to the positive x axis."""
 
@@ -40,7 +39,7 @@ class AxisLine:
         object.__setattr__(self, "phi", mod_pi(self.phi))
 
 
-@dataclass(frozen=True)
+@frozen
 class ReflectScale:
     """Reflect across `axis`, then scale by `lam`.
 

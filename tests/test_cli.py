@@ -777,6 +777,8 @@ def test_thread_check_counts_os_threads():
 def test_two_by_two_commands_load_no_numpy(tmp_path):
     # Importing numpy costs more than the rest of a one-shot command; only
     # compose, psym and the library functions that return arrays load it.
+    # dataclasses and the modules it loads cost about 8 ms more, and json
+    # loads only for --json. What site loaded before symdyn does not count.
     out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
     cases = [([*argv, *fmt], 0) for argv in (
         ["decompose", "3", "4", "4", "-3"], ["build", "5", "--theta", "0.9"],
@@ -790,12 +792,19 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
     ]
     code = (
         "import sys\n"
+        "unloaded = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} - set(sys.modules)\n"
+        "def check(when):\n"
+        "    assert 'numpy' not in sys.modules, when\n"
+        "    assert not unloaded & set(sys.modules), (when, unloaded & set(sys.modules))\n"
+        "json_before = 'json' in sys.modules\n"
         "import symdyn\n"
-        "assert 'numpy' not in sys.modules, 'import symdyn'\n"
+        "check('import symdyn')\n"
         "from symdyn.cli import main\n"
+        "assert main(['decompose', '3', '4', '4', '-3']) == 0\n"
+        "assert json_before or 'json' not in sys.modules, 'text decompose loaded json'\n"
         f"for argv, expected in {cases!r}:\n"
         "    assert main(argv) == expected, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    check(argv)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
