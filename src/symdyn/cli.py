@@ -381,14 +381,13 @@ def cmd_psym(args) -> int:
     if is_in_psym(a, tol):
         # s = 1 unless |a| overflows, where the diagonal's sum could too.
         b, s, _ = scaled(a, tol)
-        c = float(b.to_matrix().trace()) / n / s
+        c = b.trace() / n / s
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     witness = sym0_basis(n)[psym_witness(a, tol)]
     trace = frobenius_inner(witness, a)
     if not math.isfinite(trace):
         raise ValueError("the witness trace overflows float64")
-    record = {"member": False, "n": n, "witness": witness.to_matrix().ravel().tolist(),
-              "trace": trace}
+    record = {"member": False, "n": n, "witness": witness.to_list(), "trace": trace}
     return _emit(record, args.json, ("n",))
 
 

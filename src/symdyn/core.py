@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, Point2, Tolerance, frozen
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from array import array
 

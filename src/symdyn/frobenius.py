@@ -8,10 +8,10 @@ matrices. The operations here make both sides of that statement checkable.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, frozen
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -37,22 +37,28 @@ class SymMatN:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "SymMatN":
-        """Ingest a full square array, validating symmetry within tol.
+        """Ingest a full square matrix, a list of rows or an ndarray, validating
+        symmetry within tol.
 
         Mirror entries are averaged so the packed form is exactly symmetric;
         the mean of two finite entries is finite.
         """
-        import numpy as np
-
-        arr = np.asarray(m, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        rows = m.tolist() if hasattr(m, "tolist") else m
+        try:
+            if any(isinstance(row, (str, bytes)) for row in rows):
+                raise TypeError  # a row of digits is no row of numbers
+            rows = [[float(x) for x in row] for row in rows]
+        except TypeError:  # a scalar, a 1-D or 3-D array, or an entry that is no number
+            raise ValueError("expected a square matrix") from None
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("entries must be finite") from None
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("expected a square matrix")
-        n = arr.shape[0]
         if n < 2:
             raise ValueError("n must be at least 2")
-        if not np.all(np.isfinite(arr)):
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("entries must be finite")
-        rows = arr.tolist()
         packed = []
         for i in range(n):
             for j in range(i, n):
@@ -69,9 +75,10 @@ class SymMatN:
 
     @classmethod
     def identity(cls, n: int) -> "SymMatN":
-        import numpy as np
-
-        return cls.from_matrix(np.eye(n))
+        packed = [0.0] * (n * (n + 1) // 2)
+        for k in _diagonal(n)[:-1]:
+            packed[k] = 1.0
+        return cls(n, tuple(packed))
 
     def to_matrix(self) -> np.ndarray:
         import numpy as np
@@ -81,26 +88,58 @@ class SymMatN:
         out[rows, cols] = out[cols, rows] = self.packed
         return out
 
-    def frobenius_norm(self) -> float:
-        """The Frobenius norm; inf, without a warning, when it overflows."""
-        import numpy as np
+    def to_list(self) -> list[float]:
+        """The n * n entries as one row-major list: to_matrix().ravel().tolist()."""
+        p, d = self.packed, _diagonal(self.n)
+        return [p[d[min(i, j)] + abs(j - i)] for i in range(self.n) for j in range(self.n)]
 
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.to_matrix()))
+    def trace(self) -> float:
+        """The sum of the diagonal, rounded as numpy's trace() rounds it."""
+        p = self.packed
+        # 0.0 + turns an all -0.0 sum into 0.0, as numpy's reduction does.
+        return 0.0 + _pairwise_sum([p[k] for k in _diagonal(self.n)[:-1]])
+
+    def frobenius_norm(self) -> float:
+        """The Frobenius norm; inf when it overflows."""
+        return math.sqrt(frobenius_inner(self, self))
 
 
 def frobenius_inner(a: SymMatN, b: SymMatN) -> float:
     """Trace of the matrix product: the Frobenius inner product on SymMatN.
 
-    Symmetric, bilinear, and positive definite. It is inf, without a
-    warning, when the trace overflows.
+    Symmetric, bilinear, and positive definite. It is summed left to right
+    over the packed entries, each off-diagonal product counted twice, and is
+    inf when the trace overflows.
     """
-    import numpy as np
-
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    with np.errstate(over="ignore"):
-        return float((a.to_matrix() @ b.to_matrix()).trace())
+    p, q, d = a.packed, b.packed, _diagonal(a.n)
+    total = 0.0
+    for i in range(a.n):
+        total += p[d[i]] * q[d[i]]
+        for k in range(d[i] + 1, d[i + 1]):
+            total += 2.0 * p[k] * q[k]
+    return total
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    # numpy's pairwise summation: a plain loop under 8 terms; up to 128, eight
+    # running sums combined as a tree, then the remainder; above, two halves
+    # split at a multiple of 8.
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    if n < 8:
+        m, total = 0, 0.0
+    else:
+        m, r = n - n % 8, xs[:8]
+        for i in range(8, m, 8):
+            r = [x + y for x, y in zip(r, xs[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[m:]:
+        total += x
+    return total
 
 
 def _diagonal(n: int) -> list[int]:
@@ -169,11 +208,10 @@ def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
     tests give the same answer on every input, as the theorem says they must.
     """
     b, _, thresh = scaled(a, tol)
-    m = b.to_matrix()
-    if any(abs(m[i, i] - m[i + 1, i + 1]) > thresh for i in range(a.n - 1)):
+    p, d = b.packed, _diagonal(a.n)
+    if any(abs(p[d[i]] - p[d[i + 1]]) > thresh for i in range(a.n - 1)):
         return False
-    return all(abs(m[i, j] + m[j, i]) <= thresh
-               for i in range(a.n) for j in range(i + 1, a.n))
+    return all(abs(2.0 * v) <= thresh for i in range(a.n) for v in p[d[i] + 1:d[i + 1]])
 
 
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:

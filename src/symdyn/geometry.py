@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOL, Point2, Tolerance, frozen, mod_2pi
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

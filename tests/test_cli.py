@@ -387,6 +387,16 @@ def test_psym_entries_near_the_float_limit(capsys, tmp_path):
     assert err == "error: not symmetric: entries (0,1) and (1,0) differ\n"
 
 
+def test_psym_norm_overflow_band(capsys, tmp_path):
+    # |a| is about 1.41e308, finite, but the sum of squares it comes from is
+    # not, so the threshold and c are taken in rescaled coordinates. A norm
+    # that stayed finite here (math.hypot) would leave the diagonal's sum,
+    # 2e308, to overflow: c = inf in text, exit 2 in JSON.
+    path = _write(tmp_path, "m.txt", "2  1e308 0  0 1e308")
+    assert run(capsys, "psym", path) == (0, "member = true\nc = 1e+308\n", "")
+    assert run_json(capsys, "psym", path) == {"member": True, "n": 2, "c": 1e308}
+
+
 # --- ortho-classify -----------------------------------------------------------------
 
 
@@ -776,10 +786,16 @@ def test_thread_check_counts_os_threads():
 
 def test_two_by_two_commands_load_no_numpy(tmp_path):
     # Importing numpy costs more than the rest of a one-shot command; only
-    # compose, psym and the library functions that return arrays load it.
-    # dataclasses and the modules it loads cost about 8 ms more, and json
-    # loads only for --json. What site loaded before symdyn does not count.
+    # compose and the library functions that return arrays load it, and psym
+    # runs on Python floats whatever its outcome. dataclasses and the modules
+    # it loads cost about 8 ms more, typing 4 to 10 ms, and json loads only
+    # for --json. The child runs with -S, so that no .pth file loads any of
+    # them first; what the interpreter itself loaded before symdyn does not
+    # count.
     out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
+    psym = {name: _write(tmp_path, f"{name}.txt", text) for name, text in (
+        ("member", "3  2 0 0  0 2 0  0 0 2"), ("non-member", "2  1 0.5  0.5 3"),
+        ("non-symmetric", "2  0 1  2 0"), ("overflow", "2  1 1.7e308  1.7e308 1"))}
     cases = [([*argv, *fmt], 0) for argv in (
         ["decompose", "3", "4", "4", "-3"], ["build", "5", "--theta", "0.9"],
         ["classify", "3", "4", "--lambda", "0.9", "--axis", "1.1"],
@@ -789,10 +805,15 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
           "--out", out, "--svg", svg], 0),
         (["orbit", "1", "0", "--from-matrix", "0.2", "1.5", "1.5", "-0.2", "--iters", "4"], 0),
         (["decompose", "1", "2", "3", "-1"], 2),
+        (["psym", psym["member"]], 0),
+        (["psym", psym["non-member"], "--json"], 0),
+        (["psym", psym["non-symmetric"]], 2),
+        (["psym", psym["overflow"]], 2),
     ]
     code = (
         "import sys\n"
-        "unloaded = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} - set(sys.modules)\n"
+        "unloaded = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}\n"
+        "unloaded -= set(sys.modules)\n"
         "def check(when):\n"
         "    assert 'numpy' not in sys.modules, when\n"
         "    assert not unloaded & set(sys.modules), (when, unloaded & set(sys.modules))\n"
@@ -807,7 +828,7 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         "    check(argv)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          timeout=60, env=env)
     assert res.returncode == 0, res.stderr
     assert os.path.getsize(out) and os.path.getsize(svg)

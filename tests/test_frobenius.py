@@ -52,6 +52,62 @@ def test_from_matrix_rejects_small_and_nonsquare():
         SymMatN.from_matrix([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0]])
 
 
+@pytest.mark.parametrize("m", [
+    [["a", "b"], ["b", "a"]],  # non-numeric
+    [[1.0, None], [None, 1.0]],  # not a number at all
+    [[1.0, 2.0], [2.0]],  # ragged
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],  # 3-D
+    np.ones((2, 2, 2)),
+    [1.0, 2.0],  # 1-D
+    ["12", "21"],  # 1-D, of strings
+    3.0,
+    [[10**400, 0], [0, 1]],  # beyond the float range
+], ids=["strings", "none", "ragged", "3d-list", "3d-array", "1d", "1d-strings", "scalar",
+        "huge-int"])
+def test_from_matrix_rejects_what_is_no_square_matrix_of_floats(m):
+    with pytest.raises(ValueError):
+        SymMatN.from_matrix(m)
+
+
+def test_from_matrix_reads_an_ndarray_as_its_rows():
+    m = np.array([[1.5, -2.0, 0.25], [-2.0, 3.0, 1e-300], [0.25, 1e-300, -7.0]])
+    a = SymMatN.from_matrix(m)
+    assert a == SymMatN.from_matrix(m.tolist())
+    assert np.array_equal(a.to_matrix(), m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_identity_and_to_list_agree_with_numpy(n):
+    assert SymMatN.identity(n) == SymMatN.from_matrix(np.eye(n))
+    a = _spread(random.Random(7000 + n), n)
+    assert a.to_list() == a.to_matrix().ravel().tolist()
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def test_trace_is_numpys_bit_for_bit():
+    # numpy sums the diagonal pairwise: a plain loop under 8 terms, eight
+    # running sums from 8 on, two halves above 128. Mixed magnitudes make the
+    # order show in the bits.
+    rng = random.Random(4242)
+    diagonals = [[-0.0] * n for n in (2, 7, 8, 9, 64, 200)]
+    for n in [*range(2, 65), 129, 200, 300]:
+        for _ in range(12):
+            lo = rng.uniform(-300.0, 300.0)
+            hi = rng.uniform(lo, 300.0)
+            diagonals.append([rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+                              for _ in range(n)])
+    for diag in diagonals:
+        n = len(diag)
+        packed = [0.0] * (n * (n + 1) // 2)
+        for k, v in zip(frobenius._diagonal(n), diag):
+            packed[k] = v
+        a = SymMatN(n, tuple(packed))
+        assert _bits(a.trace()) == _bits(float(np.trace(a.to_matrix()))), diag
+
+
 def test_packed_length_is_validated():
     with pytest.raises(ValueError):
         SymMatN(2, (1.0, 2.0))
