@@ -139,9 +139,6 @@ class Point2:
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 ORIGIN = Point2(0.0, 0.0)
 
@@ -224,9 +221,13 @@ def matrix_from_params(lam: float, theta: float) -> np.ndarray:
 
 def _as_matrix2(m) -> tuple[float, float, float, float]:
     # The entries x, p, q, y of [[x, p], [q, y]], from any 2x2 nested
-    # sequence or array; an entry that is itself an array fails float().
+    # sequence or array; an entry that is itself an array fails float(),
+    # and a row of digits is no row of numbers.
     try:
-        (x, p), (q, y) = m
+        row0, row1 = m
+        if isinstance(row0, (str, bytes)) or isinstance(row1, (str, bytes)):
+            raise TypeError
+        (x, p), (q, y) = row0, row1
         entries = (float(x), float(p), float(q), float(y))
     except (TypeError, ValueError):
         raise ValueError("expected a 2x2 matrix") from None

@@ -13,7 +13,7 @@ import math
 import sys
 from enum import Enum
 
-from .core import DEFAULT_TOL, Point2, Tolerance, frozen
+from .core import DEFAULT_TOL, ORIGIN, Point2, Tolerance, frozen
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -204,13 +204,12 @@ def classify_convergence(
     otherwise oscillates on a circle, and |lam| > 1 blows up. Membership
     and scale comparisons are within tol.
     """
-    origin = Point2(0.0, 0.0)
     lam = m.lam
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
     if _is_origin(p, tol):
-        verdict = ConvergesTo(origin)
+        verdict = ConvergesTo(ORIGIN)
     elif tol.close(lam, 0.0):
-        verdict = ConvergesTo(origin)
+        verdict = ConvergesTo(ORIGIN)
     elif tol.close(lam, 1.0) and point_on_line(p, m.axis, tol):
         verdict = ConvergesTo(p)
     elif tol.close(lam, -1.0) and point_on_perpendicular(p, m.axis, tol):
@@ -220,7 +219,7 @@ def classify_convergence(
     elif tol.close(abs(lam), 1.0):
         verdict = NotConvergent()
     elif abs(lam) < 1.0:
-        verdict = ConvergesTo(origin)
+        verdict = ConvergesTo(ORIGIN)
     else:
         verdict = DivergesToInfinity()
     return ConvergenceVerdict(topology=topology, verdict=verdict)

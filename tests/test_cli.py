@@ -236,8 +236,11 @@ def test_classify_degrees(capsys):
 
 # --- compose ----------------------------------------------------------------------
 
+# compose computes its product with numpy; the other commands run without it.
+
 
 def test_compose_identity_rotation(capsys):
+    pytest.importorskip("numpy")
     rec = run_json(capsys, "compose", "--alpha", "0", "--theta", "1.2", "--cw")
     assert rec["gamma"] == 1.2
     assert rec["residual"] < 1e-12
@@ -245,6 +248,7 @@ def test_compose_identity_rotation(capsys):
 
 
 def test_compose_equal_angles(capsys):
+    pytest.importorskip("numpy")
     half_pi = "1.5707963267948966"
     rec = run_json(capsys, "compose", "--alpha", half_pi, "--theta", half_pi, "--cw")
     assert rec["gamma"] == 0.0
@@ -252,6 +256,7 @@ def test_compose_equal_angles(capsys):
 
 
 def test_compose_anticlockwise(capsys):
+    pytest.importorskip("numpy")
     rec = run_json(capsys, "compose", "--alpha", str(math.pi / 3.0),
                    "--theta", str(math.pi / 2.0), "--acw")
     assert abs(rec["gamma"] - 5.0 * math.pi / 6.0) <= 1e-12
@@ -264,6 +269,7 @@ def test_compose_requires_direction(capsys):
 
 
 def test_compose_degrees(capsys):
+    pytest.importorskip("numpy")
     rec = run_json(capsys, "compose", "--alpha", "30", "--theta", "90", "--acw", "--degrees")
     assert abs(rec["gamma"] - math.radians(120.0)) <= 1e-12
 
@@ -516,6 +522,8 @@ PINNED = [
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("argv,text,js", PINNED, ids=[" ".join(c[0][:2]) for c in PINNED])
 def test_output_bytes_are_pinned(capsys, tmp_path, argv, text, js, as_json):
+    if argv[0] == "compose":
+        pytest.importorskip("numpy")
     (tmp_path / "member.txt").write_text("2\n2 0\n0 2\n")
     (tmp_path / "witness.txt").write_text("3\n1 0 0\n0 2 0\n0 0 1\n")
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
@@ -784,6 +792,81 @@ def test_thread_check_counts_os_threads():
 # --- start-up ----------------------------------------------------------------------------
 
 
+def _fresh(code):
+    """stdout of code run in a process of its own, with -S, so that no .pth
+    file imports anything first."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+# symdyn.__all__, in its order, each name with the submodule that defines it
+PUBLIC = {
+    "AxisLine": "geometry", "ConvergenceVerdict": "dynamics", "ConvergesTo": "dynamics",
+    "DEFAULT_TOL": "core", "Direction": "geometry", "DivergesToInfinity": "dynamics",
+    "Finite": "dynamics", "Infinite": "dynamics", "NotConvergent": "dynamics",
+    "NotOrthogonalError": "core", "NotSymmetricError": "core", "NotTraceZeroError": "core",
+    "ORIGIN": "core", "OrbitRecord": "dynamics", "Orthogonal2": "core",
+    "OrthogonalVariant": "core", "Point2": "core", "ReflectScale": "geometry",
+    "StableSet": "dynamics", "SymMatN": "frobenius", "Tolerance": "core",
+    "Topology": "dynamics", "TraceZeroSym2": "core", "apply_T": "geometry",
+    "cauchy_bound": "dynamics", "classify_convergence": "dynamics",
+    "classify_orbit_cardinality": "dynamics", "classify_orthogonal": "core",
+    "compose_rotation_reflection": "geometry", "corollary_witness": "core",
+    "decompose": "core", "distance_after_n": "dynamics",
+    "distance_to_origin_after_n": "dynamics", "frobenius_inner": "frobenius",
+    "is_forward_asymptotic": "dynamics", "is_in_psym": "frobenius",
+    "is_power_identity": "dynamics", "is_scalar_matrix": "frobenius",
+    "matrix_from_params": "core", "mod_2pi": "core", "mod_pi": "geometry", "orbit": "dynamics",
+    "point_on_line": "geometry", "point_on_perpendicular": "geometry", "power_T": "dynamics",
+    "psym_dimension": "frobenius", "reflect_point": "geometry", "rotation_matrix": "geometry",
+    "stable_set": "dynamics", "sym0_basis": "frobenius",
+}
+SUBMODULES = ["core", "geometry", "dynamics", "frobenius"]
+LOADED = "sorted(m for m in sys.modules if m.startswith('symdyn.'))"
+
+
+def test_import_symdyn_loads_no_submodule():
+    # A name is imported from its submodule on first use; Point2 needs core alone.
+    out = _fresh(f"import sys, symdyn\nprint({LOADED})\nsymdyn.Point2\nprint({LOADED})\n")
+    assert out.splitlines() == ["[]", "['symdyn.core']"]
+
+
+def test_public_names_are_their_submodules_objects():
+    out = _fresh(
+        "import importlib, symdyn\n"
+        "print(symdyn.__all__)\n"
+        f"for name, module in {PUBLIC!r}.items():\n"
+        "    owner = importlib.import_module('symdyn.' + module)\n"
+        "    assert getattr(symdyn, name) is getattr(owner, name), name\n"
+    )
+    assert out == f"{list(PUBLIC)}\n"
+
+
+def test_star_import_binds_every_public_name():
+    out = _fresh("scope = {}\nexec('from symdyn import *', scope)\nprint(sorted(scope))\n")
+    assert out == f"{sorted([*PUBLIC, '__builtins__'])}\n"
+
+
+def test_submodules_resolve_after_a_bare_import():
+    out = _fresh(
+        "import symdyn\n"
+        "listed = dir(symdyn)\n"
+        f"print([n for n in ['__all__', *{SUBMODULES!r}] if n not in listed])\n"
+        f"print([getattr(symdyn, m).__name__ for m in {SUBMODULES!r}])\n"
+        "print(symdyn.core.decompose([[3, 4], [4, -3]]).lam)\n"
+        "try:\n"
+        "    symdyn.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    assert out.splitlines() == [
+        "[]", str([f"symdyn.{m}" for m in SUBMODULES]), "5.0",
+        "module 'symdyn' has no attribute 'no_such_name'"]
+
+
 def test_two_by_two_commands_load_no_numpy(tmp_path):
     # Importing numpy costs more than the rest of a one-shot command; only
     # compose and the library functions that return arrays load it, and psym
@@ -819,6 +902,7 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         "    assert not unloaded & set(sys.modules), (when, unloaded & set(sys.modules))\n"
         "json_before = 'json' in sys.modules\n"
         "import symdyn\n"
+        f"assert not {LOADED}, 'import symdyn loaded a submodule'\n"
         "check('import symdyn')\n"
         "from symdyn.cli import main\n"
         "assert main(['decompose', '3', '4', '4', '-3']) == 0\n"
@@ -827,10 +911,7 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         "    assert main(argv) == expected, argv\n"
         "    check(argv)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         timeout=60, env=env)
-    assert res.returncode == 0, res.stderr
+    _fresh(code)
     assert os.path.getsize(out) and os.path.getsize(svg)
 
 

@@ -112,7 +112,10 @@ def test_decompose_rejects_nonzero_trace():
 @pytest.mark.parametrize("m", [
     [[1, 2, 3]], [[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4], [[1, 2], [3]],
     np.zeros((3, 3)), np.zeros((2, 2, 1)),
-], ids=["1x3", "2x3", "flat", "ragged", "array-3x3", "array-2x2x1"])
+    # rows of digits unpack into characters or ints, which float() would take
+    ("00", "00"), ("10", "01"), (b"\x00\x05", b"\x05\x00"),
+], ids=["1x3", "2x3", "flat", "ragged", "array-3x3", "array-2x2x1",
+        "str-zero", "str-identity", "bytes"])
 @pytest.mark.parametrize("fn", [core.decompose, core.classify_orthogonal],
                          ids=["decompose", "classify_orthogonal"])
 def test_decompose_rejects_bad_shape(fn, m):
