@@ -39,6 +39,7 @@ MAX_ITERS = 1_000_000
 # an SVG no faster than one of 8192 (1.05x the time), while two of 8192 took
 # 0.67x (CSV) and 0.82x (SVG) the time of one of 16384.
 SLICE_ROWS = 8192
+SVG_SIZE = 600  # the side of the square SVG viewport, in pixels
 
 
 def _fmt(x: float) -> str:
@@ -195,14 +196,14 @@ def orbit_csv(xs, ys) -> str:
     return "n,x,y\n" + _in_slices(rows, len(xs))
 
 
-def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
+def orbit_svg(xs, ys, axis: AxisLine) -> str:
     """SVG 1.1 document for the orbit trace whose n-th point is
     (xs[n], ys[n]), as in OrbitRecord.xs and .ys: orbit polyline plus the
     reflection axis.
 
-    The viewport is fixed at size x size and scaled to the bounding box of
-    the finite points with 10 percent padding; they are joined in iteration
-    order, and points that overflowed are left out.
+    The viewport is fixed at SVG_SIZE x SVG_SIZE and scaled to the bounding
+    box of the finite points with 10 percent padding; they are joined in
+    iteration order, and points that overflowed are left out.
     """
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
@@ -222,7 +223,7 @@ def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
     cy = 0.5 * (y_lo + y_hi)
     half = 0.5 * max(x_hi - x_lo, y_hi - y_lo)
     half = half * 1.1 if half > 0.0 else math.ldexp(1.0, -k)
-    mid = size / 2.0
+    mid = SVG_SIZE / 2.0
     scale = mid / half
     reach = math.hypot(cx, cy) + 3.0 * half
     ax, ay = reach * math.cos(axis.phi), reach * math.sin(axis.phi)
@@ -242,7 +243,7 @@ def orbit_svg(xs, ys, axis: AxisLine, size: int = 600) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f'{line}stroke="#999999" stroke-width="1"/>\n'
         f'  <polyline points="{poly}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>\n'
         f"{dots}\n"

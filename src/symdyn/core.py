@@ -178,9 +178,7 @@ class TraceZeroSym2:
         return ((a, b), (b, d))
 
     def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.rows())
+        return _ndarray(self.rows())
 
 
 class OrthogonalVariant(Enum):
@@ -201,12 +199,10 @@ class Orthogonal2:
         object.__setattr__(self, "angle", mod_2pi(self.angle))
 
     def matrix(self) -> np.ndarray:
-        import numpy as np
-
         c, s = math.cos(self.angle), math.sin(self.angle)
         if self.variant is OrthogonalVariant.ROTATION:
-            return np.array([[c, s], [-s, c]])
-        return np.array([[c, s], [s, -c]])
+            return _ndarray(((c, s), (-s, c)))
+        return _ndarray(((c, s), (s, -c)))
 
 
 def matrix_from_params(lam: float, theta: float) -> np.ndarray:
@@ -219,21 +215,42 @@ def matrix_from_params(lam: float, theta: float) -> np.ndarray:
     return TraceZeroSym2(lam, theta).matrix()
 
 
+def _float_rows(m) -> list[list[float]]:
+    # The rows of a matrix as lists of floats, from any nested sequence or,
+    # through tolist(), an ndarray. TypeError for what is no row of numbers,
+    # text or bytes included, whose digits float() would read; OverflowError
+    # for an int beyond the float range.
+    text, rows = (str, bytes, bytearray, memoryview), []
+    for row in m.tolist() if hasattr(m, "tolist") else m:
+        if isinstance(row, text):
+            raise TypeError("a row of text is no row of numbers")
+        floats = []
+        for x in row:
+            if isinstance(x, text):
+                raise TypeError("text is no number")
+            floats.append(float(x))
+        rows.append(floats)
+    return rows
+
+
+def _ndarray(rows) -> np.ndarray:
+    # numpy loads here, on the first call of a function that returns an array.
+    import numpy as np
+
+    return np.array(rows, dtype=float)
+
+
 def _as_matrix2(m) -> tuple[float, float, float, float]:
-    # The entries x, p, q, y of [[x, p], [q, y]], from any 2x2 nested
-    # sequence or array; an entry that is itself an array fails float(),
-    # and a row of digits is no row of numbers.
+    # The entries x, p, q, y of [[x, p], [q, y]].
     try:
-        row0, row1 = m
-        if isinstance(row0, (str, bytes)) or isinstance(row1, (str, bytes)):
-            raise TypeError
-        (x, p), (q, y) = row0, row1
-        entries = (float(x), float(p), float(q), float(y))
+        (x, p), (q, y) = _float_rows(m)
     except (TypeError, ValueError):
         raise ValueError("expected a 2x2 matrix") from None
-    if not all(map(math.isfinite, entries)):
+    except OverflowError:
+        raise ValueError("matrix entries must be finite") from None
+    if not all(map(math.isfinite, (x, p, q, y))):
         raise ValueError("matrix entries must be finite")
-    return entries
+    return x, p, q, y
 
 
 def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:

@@ -13,7 +13,7 @@ import math
 import sys
 from enum import Enum
 
-from .core import DEFAULT_TOL, ORIGIN, Point2, Tolerance, frozen
+from .core import DEFAULT_TOL, ORIGIN, Point2, Tolerance, _ndarray, frozen
 from .geometry import ReflectScale, point_on_line, point_on_perpendicular
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -104,16 +104,13 @@ def power_T(m: ReflectScale, n: int) -> np.ndarray:
     lam**n times the identity for even n, lam**n times the unit reflection
     for odd n.
     """
-    import numpy as np
-
     if n < 0:
         raise ValueError("n must be nonnegative")
     scale = m.lam ** n
-    if n % 2 == 0:
-        return scale * np.eye(2)
-    t = 2.0 * m.axis.phi
-    c, s = math.cos(t), math.sin(t)
-    return scale * np.array([[c, s], [s, -c]])
+    if n % 2:
+        return ReflectScale(scale, m.axis).matrix()
+    # The entries of scale * np.eye(2): 0.0 * scale is nan beside an inf scale.
+    return _ndarray(((scale, 0.0 * scale), (0.0 * scale, scale)))
 
 
 def is_power_identity(lam: float, n: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -166,11 +163,13 @@ def orbit(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
+    from array import array
+
     lam, tiny, hypot, inf = m.lam, sys.float_info.min, math.hypot, math.inf
     t = 2.0 * m.axis.phi
     c, s = math.cos(t), math.sin(t)
     x, y = p.x, p.y
-    xs, ys = [x], [y]
+    xs, ys = array("d", (x,)), array("d", (y,))
     append_x, append_y = xs.append, ys.append
     truncated_at = max_iter if tiny <= hypot(x, y) < inf else 0
     for n in range(1, max_iter + 1):
@@ -179,13 +178,6 @@ def orbit(
         append_y(y)
         if n <= truncated_at and not tiny <= hypot(x, y) < inf:
             truncated_at = n
-    # The loop appends to lists, which costs less per step than appending to
-    # arrays; each list goes, with its floats, once its array is built.
-    from array import array
-
-    del append_x, append_y
-    xs = array("d", xs)
-    ys = array("d", ys)
     return OrbitRecord(start=p, map=m, xs=xs, ys=ys,
                        cardinality=classify_orbit_cardinality(p, m, tol),
                        truncated_at=truncated_at)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, frozen
+from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _ndarray, frozen
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -43,11 +43,8 @@ class SymMatN:
         Mirror entries are averaged so the packed form is exactly symmetric;
         the mean of two finite entries is finite.
         """
-        rows = m.tolist() if hasattr(m, "tolist") else m
         try:
-            if any(isinstance(row, (str, bytes)) for row in rows):
-                raise TypeError  # a row of digits is no row of numbers
-            rows = [[float(x) for x in row] for row in rows]
+            rows = _float_rows(m)
         except TypeError:  # a scalar, a 1-D or 3-D array, or an entry that is no number
             raise ValueError("expected a square matrix") from None
         except OverflowError:  # an int beyond the float range
@@ -55,8 +52,6 @@ class SymMatN:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("expected a square matrix")
-        if n < 2:
-            raise ValueError("n must be at least 2")
         if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("entries must be finite")
         packed = []
@@ -81,12 +76,8 @@ class SymMatN:
         return cls(n, tuple(packed))
 
     def to_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.empty((self.n, self.n))
-        rows, cols = np.triu_indices(self.n)
-        out[rows, cols] = out[cols, rows] = self.packed
-        return out
+        v, n = self.to_list(), self.n
+        return _ndarray([v[i:i + n] for i in range(0, n * n, n)])
 
     def to_list(self) -> list[float]:
         """The n * n entries as one row-major list: to_matrix().ravel().tolist()."""

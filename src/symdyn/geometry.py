@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import DEFAULT_TOL, Point2, Tolerance, frozen, mod_2pi
+from .core import DEFAULT_TOL, Point2, Tolerance, _ndarray, frozen, mod_2pi
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -55,11 +55,9 @@ class ReflectScale:
             raise ValueError("lam must be finite")
 
     def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        t = 2.0 * self.axis.phi
+        t, lam = 2.0 * self.axis.phi, float(self.lam)
         c, s = math.cos(t), math.sin(t)
-        return self.lam * np.array([[c, s], [s, -c]])
+        return _ndarray(((lam * c, lam * s), (lam * s, lam * -c)))
 
 
 def reflect_point(p: Point2, axis: AxisLine) -> Point2:
@@ -97,14 +95,12 @@ def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:
     The clockwise template is [[cos a, sin a], [-sin a, cos a]]; the
     anticlockwise matrix is the same template evaluated at -alpha.
     """
-    import numpy as np
-
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if direction is Direction.ANTICLOCKWISE:
         alpha = -alpha
     c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, s], [-s, c]])
+    return _ndarray(((c, s), (-s, c)))
 
 
 def compose_rotation_reflection(alpha: float, theta_mat: float, direction: Direction) -> float:

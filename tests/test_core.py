@@ -126,6 +126,60 @@ def test_decompose_rejects_bad_shape(fn, m):
     assert caught == []
 
 
+@pytest.mark.parametrize("m", [
+    [bytearray(b"\x00\x01"), bytearray(b"\x01\x00")],
+    [memoryview(b"\x00\x01"), memoryview(b"\x01\x00")],
+    [["0", "1"], ["1", "0"]],
+    [[b"0", b"1"], [b"1", b"0"]],
+    np.zeros((2, 2, 1)),
+], ids=["bytearray-rows", "memoryview-rows", "str-entries", "bytes-entries", "array-2x2x1"])
+@pytest.mark.parametrize("fn,message", [
+    (core.decompose, "expected a 2x2 matrix"),
+    (core.classify_orthogonal, "expected a 2x2 matrix"),
+    (SymMatN.from_matrix, "expected a square matrix"),
+], ids=["decompose", "classify_orthogonal", "from_matrix"])
+def test_matrix_readers_reject_text_bytes_and_nested_entries(fn, message, m):
+    # Each input but the array reads as [[0, 1], [1, 0]] if its digits or
+    # bytes are taken for numbers; numpy 1.x also reads a one-element array
+    # as a float.
+    with pytest.raises(ValueError, match=message):
+        fn(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("lam", [0.0, -0.0, -2.5, 1e-300, 7.0])
+def test_array_functions_give_the_bits_of_their_numpy_formulas(lam, n):
+    # Each array against the numpy expression that once computed it.
+    tz = core.TraceZeroSym2(lam, 2.1)
+    rot = core.Orthogonal2(core.OrthogonalVariant.ROTATION, lam + 0.4)
+    ref = core.Orthogonal2(core.OrthogonalVariant.REFLECTION, lam - 5.0)
+    m = ReflectScale(lam, AxisLine(0.7))
+    c, s = math.cos(2.0 * m.axis.phi), math.sin(2.0 * m.axis.phi)
+    cr, sr = math.cos(rot.angle), math.sin(rot.angle)
+    cf, sf = math.cos(ref.angle), math.sin(ref.angle)
+    ca, sa = math.cos(-1.3), math.sin(-1.3)
+    a = SymMatN(3, (lam, -0.0, 1.5, 3.0 * lam, 0.0, -lam))
+    full = np.empty((3, 3))
+    rows, cols = np.triu_indices(3)
+    full[rows, cols] = full[cols, rows] = a.packed
+    power = lam ** n * (np.eye(2) if n % 2 == 0 else np.array([[c, s], [s, -c]]))
+    for got, want in [
+        (core.matrix_from_params(lam, 2.1), np.array(tz.rows())),
+        (tz.matrix(), np.array(tz.rows())),
+        (rot.matrix(), np.array([[cr, sr], [-sr, cr]])),
+        (ref.matrix(), np.array([[cf, sf], [sf, -cf]])),
+        (m.matrix(), lam * np.array([[c, s], [s, -c]])),
+        (rotation_matrix(1.3, Direction.ANTICLOCKWISE), np.array([[ca, sa], [-sa, ca]])),
+        (power_T(m, n), power),
+        (a.to_matrix(), full),
+    ]:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # A float32 scale is multiplied in float64, as numpy promoted it.
+    lam32 = np.float32(lam)
+    want = lam32 * np.array([[c, s], [s, -c]])
+    assert ReflectScale(lam32, AxisLine(0.7)).matrix().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("fn,m", [
     (core.decompose, [[3.0, 4.0], [4.0, -3.0]]),
     (core.classify_orthogonal, [[0.6, 0.8], [-0.8, 0.6]]),
@@ -268,6 +322,9 @@ def test_overflowing_entries_are_rejected_not_accepted():
             core.decompose([[1e308, 0.0], [0.0, 1e308]])
         with pytest.raises(core.NotOrthogonalError):
             core.classify_orthogonal([[1e200, 0.0], [0.0, 1e200]])
+    # An int beyond the float range is no finite entry either.
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        core.decompose([[10**400, 0], [0, -10**400]])
 
 
 def test_trace_zero_sym2_canonicalizes():
