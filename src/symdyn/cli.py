@@ -397,11 +397,6 @@ def cmd_ortho_classify(args) -> int:
     return _emit({"variant": o.variant, "angle": o.angle}, args.json)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance (default 1e-9)")
-    p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads a negative number in exponent form, such as -2e-05, as a value,
     not as an option, as Python 3.12 and later do; its subparsers inherit it."""
@@ -420,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="canonical (lambda, theta) of a trace-zero symmetric matrix")
     p.add_argument("entries", type=float, nargs=4, metavar="E", help="matrix entries, row-major")
-    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("build", help="matrix from a scale and an angle")
@@ -428,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, help="matrix angle")
     p.add_argument("--axis", type=float, help="reflection-axis angle (half the matrix angle)")
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    _add_common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("orbit", help="iterate the map and emit CSV (and optional SVG)")
@@ -449,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--svg", default=None, help="SVG output path")
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    _add_common(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("classify", help="orbit cardinality, stable set, and convergence verdicts")
@@ -458,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="scale")
     p.add_argument("--axis", type=float, required=True, help="reflection-axis angle")
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compose", help="rotation composed with a reflection, as one reflection")
@@ -468,19 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cw", action="store_true", help="clockwise rotation")
     group.add_argument("--acw", action="store_true", help="anticlockwise rotation")
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    _add_common(p)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("psym", help="test the trace pairing of a symmetric matrix file")
     p.add_argument("file", help="whitespace-separated: n then n*n entries, row-major")
-    _add_common(p)
     p.set_defaults(func=cmd_psym)
 
     p = sub.add_parser("ortho-classify", help="classify an orthogonal matrix")
     p.add_argument("entries", type=float, nargs=4, metavar="E", help="matrix entries, row-major")
-    _add_common(p)
     p.set_defaults(func=cmd_ortho_classify)
 
+    for name, p in sub.choices.items():
+        if name != "compose":  # compose checks its product at a fixed 1e-12
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="comparison tolerance (default 1e-9)")
+        p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     return parser
 
 

@@ -96,6 +96,7 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError("eps must be a positive finite real")
+        object.__setattr__(self, "eps", float(self.eps))
 
     def close(self, x: float, y: float) -> bool:
         d = abs(x - y)
@@ -105,14 +106,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def mod_2pi(x: float) -> float:
-    """Reduce an angle to [0, 2*pi). Idempotent on values already in range."""
-    r = math.fmod(x, TAU)
+def _reduce(x: float, period: float) -> float:
+    # x mod period in [0, period), for the matrix angle and the axis angle.
+    r = math.fmod(x, period)
     if r < 0.0:
-        r += TAU
-    if r >= TAU:  # the += above can round up to exactly TAU
+        r += period
+    if r >= period:  # the += above can round up to exactly period
         r = 0.0
     return r
+
+
+def mod_2pi(x: float) -> float:
+    """Reduce an angle to [0, 2*pi). Idempotent on values already in range."""
+    return _reduce(x, TAU)
 
 
 def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
@@ -159,7 +165,7 @@ class TraceZeroSym2:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and math.isfinite(self.theta)):
             raise ValueError("lam and theta must be finite")
-        lam, theta = _canonical_params(self.lam, self.theta)
+        lam, theta = _canonical_params(float(self.lam), float(self.theta))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "theta", theta)
 

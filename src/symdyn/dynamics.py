@@ -14,7 +14,7 @@ import sys
 from enum import Enum
 
 from .core import DEFAULT_TOL, ORIGIN, Point2, Tolerance, _ndarray, frozen
-from .geometry import ReflectScale, point_on_line, point_on_perpendicular
+from .geometry import ReflectScale, _in_range, point_on_line, point_on_perpendicular
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -98,19 +98,23 @@ def _is_origin(p: Point2, tol: Tolerance) -> bool:
     return tol.close(p.norm(), 0.0)
 
 
+def _scales(lam: float, *steps: int) -> list[float]:
+    # lam**n for each step count n, every count checked before any power.
+    if any(n < 0 for n in steps):
+        raise ValueError("step counts must be nonnegative")
+    return [lam ** n for n in steps]
+
+
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
     """n-th power of the map as a matrix, in closed form.
 
     lam**n times the identity for even n, lam**n times the unit reflection
     for odd n.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    scale = m.lam ** n
+    [scale] = _scales(m.lam, n)
     if n % 2:
         return ReflectScale(scale, m.axis).matrix()
-    # The entries of scale * np.eye(2): 0.0 * scale is nan beside an inf scale.
-    return _ndarray(((scale, 0.0 * scale), (0.0 * scale, scale)))
+    return _ndarray(((scale, 0.0), (0.0, scale)))
 
 
 def is_power_identity(lam: float, n: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -223,9 +227,8 @@ def distance_after_n(p: Point2, q: Point2, lam: float, n: int) -> float:
     Exact for any reflection axis, since each step is an isometry followed
     by scaling.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return abs(lam) ** n * p.distance_to(q)
+    [scale] = _scales(abs(lam), n)
+    return scale * p.distance_to(q)
 
 
 def is_forward_asymptotic(
@@ -238,6 +241,7 @@ def is_forward_asymptotic(
     """
     if abs(lam) < 1.0:
         return True
+    p, q = _in_range(p, q)
     return p.distance_to(q) <= tol.eps * (1.0 + max(p.norm(), q.norm()))
 
 
@@ -255,14 +259,10 @@ def cauchy_bound(p: Point2, lam: float, n: int, m: int) -> float:
     Comes from the triangle inequality through the origin together with the
     exact iterate norm |lam|**k * |p|.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    a = abs(lam)
-    return (a ** n + a ** m) * p.norm()
+    a_n, a_m = _scales(abs(lam), n, m)
+    return (a_n + a_m) * p.norm()
 
 
 def distance_to_origin_after_n(p: Point2, lam: float, n: int) -> float:
     """Norm of the n-th image of p: |lam|**n * |p|, for any axis."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return abs(lam) ** n * p.norm()
+    return distance_after_n(p, ORIGIN, lam, n)

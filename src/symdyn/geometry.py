@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import DEFAULT_TOL, Point2, Tolerance, _ndarray, frozen, mod_2pi
+from .core import DEFAULT_TOL, Point2, Tolerance, _ndarray, _reduce, frozen, mod_2pi
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -19,12 +19,7 @@ class Direction(Enum):
 
 def mod_pi(x: float) -> float:
     """Reduce a line angle to [0, pi); a line and its opposite ray coincide."""
-    r = math.fmod(x, math.pi)
-    if r < 0.0:
-        r += math.pi
-    if r >= math.pi:
-        r = 0.0
-    return r
+    return _reduce(x, math.pi)
 
 
 @frozen
@@ -53,9 +48,10 @@ class ReflectScale:
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam):
             raise ValueError("lam must be finite")
+        object.__setattr__(self, "lam", float(self.lam))
 
     def matrix(self) -> np.ndarray:
-        t, lam = 2.0 * self.axis.phi, float(self.lam)
+        t, lam = 2.0 * self.axis.phi, self.lam
         c, s = math.cos(t), math.sin(t)
         return _ndarray(((lam * c, lam * s), (lam * s, lam * -c)))
 
@@ -77,14 +73,27 @@ def apply_T(m: ReflectScale, p: Point2) -> Point2:
     return Point2(m.lam * r.x, m.lam * r.y)
 
 
+def _in_range(*points: Point2) -> tuple[Point2, ...]:
+    # The points, or each divided by 4 where a norm overflows though every
+    # coordinate is finite: both its coordinates then exceed 1e300, where
+    # that division is exact, and a bound eps * (1 + |p|) is finite again.
+    if not math.isinf(max(p.norm() for p in points)):
+        return points
+    if not all(math.isfinite(c) for p in points for c in (p.x, p.y)):
+        return points
+    return tuple(Point2(p.x / 4.0, p.y / 4.0) for p in points)
+
+
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Scale-aware perpendicular-distance test for p lying on the axis line."""
+    [p] = _in_range(p)
     d = p.x * math.sin(axis.phi) - p.y * math.cos(axis.phi)
     return abs(d) <= tol.eps * (1.0 + p.norm())
 
 
 def point_on_perpendicular(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test for p lying on the line through the origin orthogonal to axis."""
+    [p] = _in_range(p)
     d = p.x * math.cos(axis.phi) + p.y * math.sin(axis.phi)
     return abs(d) <= tol.eps * (1.0 + p.norm())
 

@@ -138,6 +138,27 @@ def test_orbit_and_classify_print_the_same_cardinality(capsys):
     assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {"kind": "Finite", "size": 1}
 
 
+@pytest.mark.parametrize("cmd", ["classify", "orbit"])
+@pytest.mark.parametrize("map_args,size", [
+    (("--lambda", "1", "--axis", "0.7"), 2),
+    (("--lambda", "1", "--axis", "45", "--degrees"), 1),
+    (("--lambda", "-1", "--axis", "0.7"), 2),
+    (("--lambda", "-1", "--axis", "-45", "--degrees"), 1),
+], ids=["off-axis", "on-axis", "off-perpendicular", "on-perpendicular"])
+def test_starts_whose_norm_overflows_are_placed_on_their_lines(capsys, cmd, map_args, size):
+    # Each coordinate is finite but the norm is not; an infinite bound
+    # eps * (1 + |p|) would put the start on every line.
+    argv = (cmd, "1.5e308", "1.5e308", *map_args)
+    verdict = "ConvergesTo (1.5e+308, 1.5e+308)" if size == 1 else "NotConvergent"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"cardinality = Finite({size})\n" in out
+    assert f"convergence[Discrete] = {verdict}\nconvergence[Usual] = {verdict}\n" in out
+    rec = run_json(capsys, *argv)
+    assert rec["cardinality"] == {"kind": "Finite", "size": size}
+    assert {v["kind"] for v in rec["convergence"].values()} == {verdict.split()[0]}
+
+
 def test_orbit_verdicts_json(capsys):
     rec = run_json(capsys, "orbit", "1", "1", "--lambda", "1", "--axis", "0.7853981634",
                    "--iters", "5")
@@ -266,6 +287,14 @@ def test_compose_anticlockwise(capsys):
 def test_compose_requires_direction(capsys):
     code, _, _ = run(capsys, "compose", "--alpha", "1", "--theta", "1")
     assert code == 2
+
+
+def test_compose_takes_no_tolerance(capsys):
+    # verified compares the residual with a fixed 1e-12, so a --tol would go unread
+    code, out, err = run(capsys, "compose", "--alpha", "1e4", "--theta", "0.3", "--cw",
+                         "--tol", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 1" in err
 
 
 def test_compose_degrees(capsys):

@@ -48,6 +48,8 @@ def test_rejects_nonfinite():
         core.matrix_from_params(math.nan, 0.0)
     with pytest.raises(ValueError):
         core.matrix_from_params(1.0, math.inf)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        core.decompose([[math.nan, 0.0], [0.0, 0.0]])
 
 
 @given(scales, angles)
@@ -222,6 +224,10 @@ def test_rejects_non_orthogonal():
         core.classify_orthogonal([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(core.NotOrthogonalError):
         core.classify_orthogonal(2.0 * np.eye(2))
+    # Orthonormal within a loose tolerance, yet its determinant 0.8 is near neither +1 nor -1.
+    with pytest.raises(core.NotOrthogonalError, match="determinant is near neither"):
+        core.classify_orthogonal([[0.8977750274985375, 0.11027261504014305],
+                                  [0.0, 0.8909769639963809]], core.Tolerance(0.1))
 
 
 @given(angles)
@@ -414,9 +420,24 @@ def test_value_types_keep_defaults_checks_and_canonical_forms():
     assert Finite(1) != Infinite() and NotConvergent() != DivergesToInfinity()
     assert core.Point2(0.0, 0.0) != (0.0, 0.0)
     for bad in (lambda: core.Tolerance(0.0), lambda: AxisLine(math.nan),
-                lambda: ReflectScale(math.inf, _AXIS), lambda: SymMatN(2, (1.0, 2.0))):
+                lambda: ReflectScale(math.inf, _AXIS), lambda: SymMatN(2, (1.0, 2.0)),
+                lambda: core.Orthogonal2(_ROT, math.inf),
+                lambda: SymMatN(2, (math.nan, 0.0, 0.0))):
         with pytest.raises(ValueError):
             bad()
     assert core.TraceZeroSym2(-1.0, 0.0).theta == math.pi
     assert AxisLine(4.0).phi == mod_pi(4.0)
     assert core.Orthogonal2(_ROT, -1.0).angle == core.mod_2pi(-1.0)
+
+
+def test_scalar_fields_are_stored_as_python_floats():
+    # A float32 field would keep its precision: a Python float times a
+    # float32 scalar stays float32 under numpy 2's promotion rules.
+    x = np.float32(0.3)
+    tz, m, tol = core.TraceZeroSym2(x, 1.1), ReflectScale(x, _AXIS), core.Tolerance(x)
+    assert [type(v) for v in (tz.lam, tz.theta, m.lam, tol.eps)] == [float] * 4
+    assert [type(v) for row in tz.rows() for v in row] == [float] * 4
+    assert tz.rows() == core.TraceZeroSym2(float(x), 1.1).rows()
+    assert tz.rows()[0][0] == 0.13607884183496033
+    assert m.matrix().tobytes() == ReflectScale(float(x), _AXIS).matrix().tobytes()
+    assert repr(tol) == "Tolerance(eps=0.30000001192092896)"

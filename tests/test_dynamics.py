@@ -68,6 +68,19 @@ def test_power_rejects_negative():
         dynamics.power_T(_mk(1.0, 0.0), -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dynamics.distance_after_n(Point2(1.0, 2.0), Point2(3.0, 4.0), 0.5, -1),
+    lambda: dynamics.distance_to_origin_after_n(Point2(1.0, 2.0), 0.5, -1),
+    lambda: dynamics.cauchy_bound(Point2(1.0, 2.0), 0.5, 0, -1),
+    # every count is checked before any power, so 2**2000's overflow comes second
+    lambda: dynamics.cauchy_bound(Point2(1.0, 2.0), 2.0, 2000, -1),
+], ids=["distance_after_n", "distance_to_origin_after_n", "cauchy_bound",
+        "cauchy_bound-overflowing-n"])
+def test_negative_step_counts_are_rejected(call):
+    with pytest.raises(ValueError, match="step counts must be nonnegative"):
+        call()
+
+
 @settings(max_examples=150)
 @given(lams, axis_angles, coords, coords, st.integers(min_value=0, max_value=20))
 @example(3.0, 1.0, 0.0, 2.0, 20)
@@ -486,6 +499,8 @@ def test_norm_identity_examples():
 def test_equal_points_always_asymptotic():
     p = Point2(2.0, 3.0)
     assert dynamics.is_forward_asymptotic(p, p, 5.0)
+    huge = Point2(1.5e308, 1.5e308)  # its norm overflows
+    assert dynamics.is_forward_asymptotic(huge, huge, 1.0)
 
 
 def test_contraction_makes_everything_asymptotic():
@@ -494,6 +509,9 @@ def test_contraction_makes_everything_asymptotic():
 
 def test_unit_scale_keeps_distinct_points_apart():
     assert not dynamics.is_forward_asymptotic(Point2(1.0, 2.0), Point2(3.0, 4.0), 1.0)
+    # The distance and the bound eps * (1 + |p|) both overflow to inf here.
+    assert not dynamics.is_forward_asymptotic(Point2(1.5e308, 1.5e308),
+                                              Point2(-1.5e308, 1e308), 1.0)
 
 
 def test_stable_set_dichotomy_examples():

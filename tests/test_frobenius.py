@@ -62,8 +62,9 @@ def test_from_matrix_rejects_small_and_nonsquare():
     ["12", "21"],  # 1-D, of strings
     3.0,
     [[10**400, 0], [0, 1]],  # beyond the float range
+    [[math.nan, 0.0], [0.0, 1.0]],
 ], ids=["strings", "none", "ragged", "3d-list", "3d-array", "1d", "1d-strings", "scalar",
-        "huge-int"])
+        "huge-int", "nan"])
 def test_from_matrix_rejects_what_is_no_square_matrix_of_floats(m):
     with pytest.raises(ValueError):
         SymMatN.from_matrix(m)

@@ -194,6 +194,8 @@ def test_axis_reduces_mod_pi():
     assert AxisLine(math.pi).phi == 0.0
     assert abs(AxisLine(3.0 * math.pi / 2.0).phi - math.pi / 2.0) <= 1e-15
     assert AxisLine(-0.5).phi == pytest.approx(math.pi - 0.5)
+    # fmod keeps -1e-17, and adding pi rounds up to pi itself
+    assert geometry.mod_pi(-1e-17) == AxisLine(-1e-17).phi == 0.0
 
 
 def test_axis_and_opposite_axis_reflect_alike():
@@ -206,6 +208,15 @@ def test_axis_and_opposite_axis_reflect_alike():
 def test_axis_rejects_nonfinite():
     with pytest.raises(ValueError):
         AxisLine(math.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: geometry.rotation_matrix(math.inf, Direction.CLOCKWISE),
+    lambda: geometry.compose_rotation_reflection(math.nan, 0.0, Direction.CLOCKWISE),
+], ids=["rotation_matrix", "compose_rotation_reflection"])
+def test_rotations_reject_nonfinite_angles(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
