@@ -192,32 +192,26 @@ def classify_convergence(
 ) -> ConvergenceVerdict:
     """Convergence verdict for the iterate sequence starting at p.
 
-    In the discrete topology only eventually constant sequences converge:
-    the origin, any point when lam = 0, points on the axis when lam = 1,
-    and points on the perpendicular axis when lam = -1 (that map is itself
-    a reflection fixing that line). In the usual topology those cases are
-    joined by |lam| < 1, which contracts everything to the origin; |lam| = 1
-    otherwise oscillates on a circle, and |lam| > 1 blows up. Membership
-    and scale comparisons are within tol.
+    Read off the orbit's cardinality: the origin, and every point when
+    lam = 0, go to the origin; a fixed point (Finite(1)) converges to
+    itself, and a two-cycle does not converge. An infinite orbit does not
+    converge in the discrete topology, where only eventually constant
+    sequences do; in the usual topology |lam| < 1 contracts it to the
+    origin and |lam| > 1 blows it up. Comparisons are within tol.
     """
-    lam = m.lam
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
-    if _is_origin(p, tol):
-        verdict = ConvergesTo(ORIGIN)
-    elif tol.close(lam, 0.0):
-        verdict = ConvergesTo(ORIGIN)
-    elif tol.close(lam, 1.0) and point_on_line(p, m.axis, tol):
-        verdict = ConvergesTo(p)
-    elif tol.close(lam, -1.0) and point_on_perpendicular(p, m.axis, tol):
-        verdict = ConvergesTo(p)
-    elif topology is Topology.DISCRETE:
-        verdict = NotConvergent()
-    elif tol.close(abs(lam), 1.0):
-        verdict = NotConvergent()
-    elif abs(lam) < 1.0:
+    if _is_origin(p, tol) or tol.close(m.lam, 0.0):
         verdict = ConvergesTo(ORIGIN)
     else:
-        verdict = DivergesToInfinity()
+        cardinality = classify_orbit_cardinality(p, m, tol)
+        if cardinality == Finite(1):
+            verdict = ConvergesTo(p)
+        elif cardinality == Finite(2) or topology is Topology.DISCRETE:
+            verdict = NotConvergent()
+        elif abs(m.lam) < 1.0:
+            verdict = ConvergesTo(ORIGIN)
+        else:
+            verdict = DivergesToInfinity()
     return ConvergenceVerdict(topology=topology, verdict=verdict)
 
 

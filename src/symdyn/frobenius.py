@@ -191,18 +191,14 @@ def psym_witness(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> int | None:
 
 
 def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a equals c * I within tol, for some real c, read off its entries.
+    """Whether a equals c * I within tol, for some real c.
 
-    Each diagonal entry must lie within eps * (1 + |a|) of the next, and each
-    off-diagonal pair a_ij + a_ji within the same bound, |a| the Frobenius
-    norm. That is the threshold is_in_psym puts on the pairings, so the two
-    tests give the same answer on every input, as the theorem says they must.
+    By the theorem, the scalar matrices are exactly Psym, so this is
+    is_in_psym: the pairings with the trace-zero basis are the differences
+    of consecutive diagonal entries and the sums a_ij + a_ji, and each must
+    lie within eps * (1 + |a|), |a| the Frobenius norm.
     """
-    b, _, thresh = scaled(a, tol)
-    p, d = b.packed, _diagonal(a.n)
-    if any(abs(p[d[i]] - p[d[i + 1]]) > thresh for i in range(a.n - 1)):
-        return False
-    return all(abs(2.0 * v) <= thresh for i in range(a.n) for v in p[d[i] + 1:d[i + 1]])
+    return is_in_psym(a, tol)
 
 
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
