@@ -126,10 +126,9 @@ def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
     # matrix pins theta = 0 so decomposition stays a function.
     if lam < 0.0:
         lam, theta = -lam, theta + math.pi
-    theta = mod_2pi(theta)
-    if lam == 0.0:
-        theta = 0.0
-    return lam, theta
+    if lam == 0.0:  # -0.0 included, so the zero matrix has no -0.0 entries
+        return 0.0, 0.0
+    return lam, mod_2pi(theta)
 
 
 @frozen
@@ -319,6 +318,4 @@ def corollary_witness(a: TraceZeroSym2) -> tuple[Orthogonal2, float]:
     a.matrix() == lam * witness.matrix() entrywise. The zero matrix gets
     the conventional witness Reflection(0), i.e. [[1, 0], [0, -1]].
     """
-    if a.lam == 0.0:
-        return Orthogonal2(OrthogonalVariant.REFLECTION, 0.0), 0.0
     return Orthogonal2(OrthogonalVariant.REFLECTION, a.theta), a.lam

@@ -74,6 +74,15 @@ def test_build_from_axis_doubles_the_angle(capsys):
     assert abs(rec["theta"] - 0.9) <= 1e-12
 
 
+def test_build_negative_zero_scale_is_the_zero_matrix(capsys):
+    code, out, _ = run(capsys, "build", "-0", "--theta", "1")
+    assert code == 0
+    assert out == "lambda = 0\ntheta = 0\naxis = 0\nmatrix = [[0, 0], [0, 0]]\n"
+    rec = run_json(capsys, "build", "-0", "--theta", "1")
+    assert rec == run_json(capsys, "build", "0", "--theta", "1")
+    assert [math.copysign(1.0, v) for v in rec["matrix"]] == [1.0] * 4
+
+
 def test_build_requires_exactly_one_angle(capsys):
     code, _, err = run(capsys, "build", "1")
     assert code == 2

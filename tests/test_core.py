@@ -26,6 +26,12 @@ scales = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
 def test_zero_scale_gives_zero_matrix():
     m = core.matrix_from_params(0.0, 1.7)
     assert np.array_equal(m, np.zeros((2, 2)))
+    # A scale of -0.0 is the zero scale too: +0.0, and no -0.0 entry, so the
+    # sign identity of matrix_from_params holds bit for bit at zero.
+    assert math.copysign(1.0, core.TraceZeroSym2(-0.0, 1.0).lam) == 1.0
+    negative = core.matrix_from_params(-0.0, 1.0)
+    assert negative.tobytes() == core.matrix_from_params(0.0, core.mod_2pi(1.0 + math.pi)).tobytes()
+    assert negative.tobytes() == np.zeros((2, 2)).tobytes()
 
 
 def test_angle_zero_is_diag_plus_minus():
