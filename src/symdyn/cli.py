@@ -350,15 +350,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from fractions import Fraction
+
     alpha = _rad(args.alpha, args.degrees)
     theta = _rad(args.theta, args.degrees)
     direction = Direction.CLOCKWISE if args.cw else Direction.ANTICLOCKWISE
     gamma = compose_rotation_reflection(alpha, theta, direction)
-    product = rotation_matrix(alpha, direction) @ matrix_from_params(1.0, theta)
-    target = matrix_from_params(1.0, gamma)
-    residual = float(abs(product - target).max())
+    a, b = _rows(rotation_matrix(alpha, direction)), _rows(matrix_from_params(1.0, theta))
+    # Each entry is fma(a_i1, b_1j, a_i0 * b_0j), one rounding of an exact
+    # sum, as a fused BLAS kernel gives it; so the bytes do not depend on
+    # the host's BLAS (math.fma needs Python 3.13).
+    product = tuple(tuple(float(Fraction(r[1]) * Fraction(b[1][j]) + Fraction(r[0] * b[0][j]))
+                          for j in (0, 1)) for r in a)
+    target = _rows(matrix_from_params(1.0, gamma))
+    residual = max(abs(x - y) for u, v in zip(product, target) for x, y in zip(u, v))
     record = {"alpha": alpha, "theta": theta, "direction": direction, "gamma": gamma,
-              "product": _rows(product), "reflection": _rows(target), "residual": residual,
+              "product": product, "reflection": target, "residual": residual,
               "verified": residual <= 1e-12}
     return _emit(record, args.json, ("alpha", "theta", "direction"))
 

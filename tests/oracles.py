@@ -5,6 +5,7 @@ the same quantity (polar reflection coordinates, explicit 2x2 products,
 step-by-step iteration).
 """
 
+import decimal
 import math
 
 TAU = 2.0 * math.pi
@@ -42,6 +43,19 @@ def mat_mul(a, b):
         [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
         [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
     ]
+
+
+def fused_mat_mul(a, b):
+    """2x2 product with each entry rounded as fma(a_i1, b_1j, a_i0 * b_0j).
+
+    a_i0 * b_0j is rounded to a float first; the rest is exact in decimal (a
+    float is a finite decimal, and such a sum is a multiple of 2**-2148 below
+    2**2050, which 3000 digits hold), then rounded once by float().
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3000
+        return [[float(decimal.Decimal(a[i][1]) * decimal.Decimal(b[1][j])
+                       + decimal.Decimal(a[i][0] * b[0][j])) for j in (0, 1)] for i in (0, 1)]
 
 
 def mat_vec(a, v):

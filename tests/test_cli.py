@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import oracles
 from symdyn import cli
 from symdyn.cli import main
 
@@ -266,7 +267,8 @@ def test_classify_degrees(capsys):
 
 # --- compose ----------------------------------------------------------------------
 
-# compose computes its product with numpy; the other commands run without it.
+# compose loads numpy through rotation_matrix and matrix_from_params; the other
+# commands run without it.
 
 
 def test_compose_identity_rotation(capsys):
@@ -291,6 +293,19 @@ def test_compose_anticlockwise(capsys):
                    "--theta", str(math.pi / 2.0), "--acw")
     assert abs(rec["gamma"] - 5.0 * math.pi / 6.0) <= 1e-12
     assert rec["residual"] < 1e-12
+
+
+def test_compose_product_rounds_each_entry_once(capsys):
+    # Each product entry is fma(a_i1, b_1j, a_i0 * b_0j), whatever BLAS numpy
+    # was built with; at these angles a_i0 * b_0j + a_i1 * b_1j rounded twice
+    # differs in two entries.
+    pytest.importorskip("numpy")
+    rec = run_json(capsys, "compose", "--alpha", "0.1", "--theta", "0.1", "--cw")
+    a, b = oracles.rotation_cw(0.1), oracles.reflection_matrix_from_matrix_angle(0.1)
+    fused = oracles.fused_mat_mul(a, b)
+    assert rec["product"] == fused[0] + fused[1]
+    assert fused != oracles.mat_mul(a, b)
+    assert rec["residual"] == max(abs(x - y) for x, y in zip(rec["product"], rec["reflection"]))
 
 
 def test_compose_requires_direction(capsys):
@@ -358,6 +373,17 @@ def test_psym_dimension_out_of_range_exits_2(capsys, tmp_path):
     path = _write(tmp_path, "m1.txt", "1 5")
     code, _, _ = run(capsys, "psym", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    (" \n", "error: empty matrix file"),
+    ("2.0 1 0 0 1", "error: first token must be the matrix dimension n"),
+    ("65 0", "error: n must be between 2 and 64"),
+    ("2 1 2 3", "error: expected 4 entries after the dimension, got 3"),
+], ids=["empty", "n-not-an-integer", "n-out-of-range", "entry-count"])
+def test_psym_file_errors_exit_2_with_their_line(capsys, tmp_path, text, line):
+    code, out, err = run(capsys, "psym", _write(tmp_path, "m.txt", text))
+    assert (code, out, err) == (2, "", line + "\n")
 
 
 def test_psym_missing_file_exits_3(capsys):
