@@ -376,7 +376,7 @@ def test_psym_dimension_out_of_range_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text,line", [
-    (" \n", "error: empty matrix file"),
+    ("", "error: empty matrix file"),
     ("2.0 1 0 0 1", "error: first token must be the matrix dimension n"),
     ("65 0", "error: n must be between 2 and 64"),
     ("2 1 2 3", "error: expected 4 entries after the dimension, got 3"),
