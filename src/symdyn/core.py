@@ -118,7 +118,7 @@ def _reduce(x: float, period: float) -> float:
 
 def mod_2pi(x: float) -> float:
     """Reduce an angle to [0, 2*pi). Idempotent on values already in range."""
-    return _reduce(x, TAU)
+    return _reduce(x, TAU) + 0.0  # -0.0 (from -0.0 or -2*pi) becomes 0.0
 
 
 def _canonical_params(lam: float, theta: float) -> tuple[float, float]:

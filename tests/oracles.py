@@ -45,17 +45,24 @@ def mat_mul(a, b):
     ]
 
 
-def fused_mat_mul(a, b):
-    """2x2 product with each entry rounded as fma(a_i1, b_1j, a_i0 * b_0j).
+def fused(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once, as fma rounds it, except that an exact zero is
+    +0.0, as in exact rational arithmetic.
 
-    a_i0 * b_0j is rounded to a float first; the rest is exact in decimal (a
-    float is a finite decimal, and such a sum is a multiple of 2**-2148 below
-    2**2050, which 3000 digits hold), then rounded once by float().
+    The sum is exact in decimal (a float is a finite decimal, and such a sum
+    is a multiple of 2**-2148 below 2**2050, which 3000 digits hold), then
+    rounded once by float().
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 3000
-        return [[float(decimal.Decimal(a[i][1]) * decimal.Decimal(b[1][j])
-                       + decimal.Decimal(a[i][0] * b[0][j])) for j in (0, 1)] for i in (0, 1)]
+        exact = decimal.Decimal(x) * decimal.Decimal(y) + decimal.Decimal(z)
+    return float(exact) if exact else 0.0
+
+
+def fused_mat_mul(a, b):
+    """2x2 product with each entry rounded as fused(a_i1, b_1j, a_i0 * b_0j);
+    a_i0 * b_0j is rounded to a float first."""
+    return [[fused(a[i][1], b[1][j], a[i][0] * b[0][j]) for j in (0, 1)] for i in (0, 1)]
 
 
 def mat_vec(a, v):

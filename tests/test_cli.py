@@ -580,6 +580,23 @@ PINNED = [
     (("ortho-classify", "0", "-1", "1", "0"),
      "variant = Rotation\nangle = 4.7123889803846897\n",
      '{"variant": "Rotation", "angle": 4.71238898038469}\n'),
+    # A zero angle is +0.0, whether it came from -0 or from -2*pi; the
+    # JSON-only keys echo the input as given.
+    (("build", "1", "--axis", "-0"),
+     "lambda = 1\ntheta = 0\naxis = 0\nmatrix = [[1, 0], [0, -1]]\n",
+     '{"lambda": 1.0, "theta": 0.0, "axis": 0.0, "matrix": [1.0, 0.0, 0.0, -1.0]}\n'),
+    (("build", "3", "--theta", "-6.283185307179586"),
+     "lambda = 3\ntheta = 0\naxis = 0\nmatrix = [[3, 0], [0, -3]]\n",
+     '{"lambda": 3.0, "theta": 0.0, "axis": 0.0, "matrix": [3.0, 0.0, 0.0, -3.0]}\n'),
+    (("ortho-classify", "1", "-0", "0", "1"),
+     "variant = Rotation\nangle = 0\n",
+     '{"variant": "Rotation", "angle": 0.0}\n'),
+    (("compose", "--theta", "-0", "--alpha", "0", "--cw"),
+     "gamma = 0\nproduct = [[1, 0], [0, -1]]\nreflection = [[1, 0], [0, -1]]\nresidual = 0\n"
+     "verified = true\n",
+     '{"alpha": 0.0, "theta": -0.0, "direction": "Clockwise", "gamma": 0.0, '
+     '"product": [1.0, 0.0, 0.0, -1.0], "reflection": [1.0, 0.0, 0.0, -1.0], '
+     '"residual": 0.0, "verified": true}\n'),
 ]
 
 
@@ -977,6 +994,80 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
     )
     _fresh(code)
     assert os.path.getsize(out) and os.path.getsize(svg)
+
+
+COMPOSE = ["compose", "--alpha", "0.3", "--theta", "1", "--cw"]
+
+
+def _compose_as_main(blas_threads=None) -> dict:
+    """A fresh process runs symdyn as __main__, as python -m does, for
+    compose, with OPENBLAS_NUM_THREADS set to blas_threads or unset. Returns
+    its exit code, the modules the run loaded, its OS thread count (None
+    without /proc/self/task) and the variable's value afterwards."""
+    code = (
+        "import os, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['symdyn', *{COMPOSE!r}]\n"
+        "try:\n"
+        "    runpy.run_module('symdyn', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "import json\n"
+        "print(json.dumps({'status': status, 'loaded': loaded, 'threads': threads,\n"
+        "                  'blas': os.environ.get('OPENBLAS_NUM_THREADS')}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _cpus() < 2,
+                    reason="needs /proc/self/task and 2 CPUs")
+def test_cli_starts_no_blas_thread_pool():
+    # OpenBLAS starts one thread per CPU as numpy loads, which costs compose
+    # 70 to 80 ms on 2 CPUs; the CLI runs no BLAS operation.
+    pytest.importorskip("numpy")
+    state = _compose_as_main()
+    assert (state["status"], state["blas"]) == (0, "1")
+    assert "numpy" in state["loaded"]
+    assert state["threads"] == 1
+
+
+def test_a_blas_thread_count_the_user_set_stands():
+    pytest.importorskip("numpy")
+    state = _compose_as_main("2")
+    assert (state["status"], state["blas"]) == (0, "2")
+
+
+def test_main_leaves_the_environment_alone(capsys, monkeypatch):
+    # In-process callers of main, such as the bench's tracer and these tests,
+    # keep their environment; only the process entry point sets a default.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run(capsys, "decompose", "3", "4", "4", "-3")[0] == 0
+    assert dict(os.environ) == before
+
+
+def test_compose_loads_no_fractions_or_decimal():
+    # Each fused product entry is an exact integer sum over a power of two.
+    pytest.importorskip("numpy")
+    state = _compose_as_main()
+    assert state["status"] == 0 and "numpy" in state["loaded"]
+    assert not {"fractions", "decimal"} & set(state["loaded"])
 
 
 # --- scripts ----------------------------------------------------------------------------

@@ -355,6 +355,13 @@ def test_mod_2pi_range_and_idempotence():
         assert core.mod_2pi(r) == r
 
 
+@pytest.mark.parametrize("x", [-0.0, -TAU, 0.0, TAU], ids=["-0", "-2pi", "0", "2pi"])
+def test_mod_2pi_zero_is_positive(x):
+    assert math.copysign(1.0, core.mod_2pi(x)) == 1.0
+    assert repr(core.TraceZeroSym2(1.0, x).rows()) == repr(core.TraceZeroSym2(1.0, 0.0).rows())
+    assert core.matrix_from_params(1.0, x).tobytes() == core.matrix_from_params(1.0, 0.0).tobytes()
+
+
 # --- value types --------------------------------------------------------------
 
 _P = core.Point2(1.0, 2.0)

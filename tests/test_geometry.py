@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
 from symdyn import core, geometry
+from symdyn.cli import _fma
 from symdyn.core import Point2
 from symdyn.geometry import AxisLine, Direction, ReflectScale
 
@@ -185,6 +186,25 @@ def test_composition_law_anticlockwise(alpha, theta):
     g = geometry.compose_rotation_reflection(alpha, theta, Direction.ANTICLOCKWISE)
     lhs = geometry.rotation_matrix(alpha, Direction.ANTICLOCKWISE) @ core.matrix_from_params(1.0, theta)
     assert np.allclose(lhs, core.matrix_from_params(1.0, g), atol=1e-12, rtol=0.0)
+
+
+# compose rounds each entry of its product as fma(a_i1, b_1j, a_i0 * b_0j);
+# the whole float range is checked, not just the entries of rotations.
+wide = st.floats(min_value=-1e300, max_value=1e300)  # subnormals and both zeros included
+
+
+@given(wide, wide, wide)
+@example(0.0, 1.0, -0.0)
+@example(-0.0, 1.0, -0.0)  # an exact zero is +0.0, which compose's pinned bytes hold
+@example(3.0, -5e-324, 1.5e-323)
+@example(5e-324, -5e-324, 0.0)  # a nonzero sum that rounds to -0.0 keeps its sign
+@example(1e300, 1e-300, -1.0)
+def test_fma_rounds_once_over_the_float_range(x, y, z):
+    assume(math.isfinite(x * y))
+    want = oracles.fused(x, y, z)
+    assume(math.isfinite(want))
+    got = _fma(x, y, z)
+    assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 # --- AxisLine ----------------------------------------------------------------
