@@ -84,11 +84,15 @@ def frozen(cls):
 
 @frozen
 class Tolerance:
-    """Scale-aware comparison threshold.
+    """Scale-aware comparison threshold, and the one test behind every verdict.
 
-    x and y count as equal when |x - y| <= eps * (1 + max(|x|, |y|)),
-    which behaves absolutely near zero and relatively for large values.
-    Values whose difference is not finite are never close.
+    d is negligible beside a size when |d| <= eps * (1 + size), never when d
+    is not finite, and x is close to y when x - y is negligible beside
+    max(|x|, |y|). Scale classes, matrix preconditions and the origin test
+    use close; the line, asymptoticity and Psym tests ask that a distance or
+    pairing be negligible beside the norm. Two exceptions are deliberate:
+    decompose collapses a scale <= eps, an absolute test; frobenius.scaled puts
+    the Psym pairings in power-of-two coordinates where the norm overflows.
     """
 
     eps: float = 1e-9
@@ -98,9 +102,11 @@ class Tolerance:
             raise ValueError("eps must be a positive finite real")
         object.__setattr__(self, "eps", float(self.eps))
 
+    def negligible(self, d: float, size: float) -> bool:
+        return math.isfinite(d) and abs(d) <= self.eps * (1.0 + size)
+
     def close(self, x: float, y: float) -> bool:
-        d = abs(x - y)
-        return math.isfinite(d) and d <= self.eps * (1.0 + max(abs(x), abs(y)))
+        return self.negligible(x - y, max(abs(x), abs(y)))
 
 
 DEFAULT_TOL = Tolerance()
@@ -133,10 +139,16 @@ def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
 
 @frozen
 class Point2:
-    """A point of the plane."""
+    """A point of the plane, its coordinates stored as Python floats."""
 
     x: float
     y: float
+
+    def __post_init__(self) -> None:
+        # A float is kept as it is: two setattrs per point would double its cost.
+        if type(self.x) is not float or type(self.y) is not float:
+            object.__setattr__(self, "x", float(self.x))
+            object.__setattr__(self, "y", float(self.y))
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)

@@ -94,10 +94,6 @@ class OrbitRecord:
         return tuple(map(Point2, self.xs, self.ys))
 
 
-def _is_origin(p: Point2, tol: Tolerance) -> bool:
-    return tol.close(p.norm(), 0.0)
-
-
 def _scales(lam: float, *steps: int) -> list[float]:
     # lam**n for each step count n, every count checked before any power.
     if any(n < 0 for n in steps):
@@ -140,7 +136,7 @@ def classify_orbit_cardinality(
     fixed and everything else alternates. Any other nonzero scale gives
     pairwise-distinct iterates. All membership tests are within tol.
     """
-    if _is_origin(p, tol):
+    if tol.close(p.norm(), 0.0):
         return Finite(1)
     lam = m.lam
     if tol.close(lam, 0.0):
@@ -200,7 +196,7 @@ def classify_convergence(
     origin and |lam| > 1 blows it up. Comparisons are within tol.
     """
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
-    if _is_origin(p, tol) or tol.close(m.lam, 0.0):
+    if tol.close(p.norm(), 0.0) or tol.close(m.lam, 0.0):
         verdict = ConvergesTo(ORIGIN)
     else:
         cardinality = classify_orbit_cardinality(p, m, tol)
@@ -236,7 +232,7 @@ def is_forward_asymptotic(
     if abs(lam) < 1.0:
         return True
     p, q = _in_range(p, q)
-    return p.distance_to(q) <= tol.eps * (1.0 + max(p.norm(), q.norm()))
+    return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()))
 
 
 def stable_set(p: Point2, lam: float) -> StableSet:

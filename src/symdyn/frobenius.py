@@ -208,22 +208,15 @@ def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def psym_dimension(n: int) -> int:
-    """Dimension of the orthogonal complement of the trace-zero subspace.
+    """Dimension of the orthogonal complement of the trace-zero subspace: 1.
 
-    Computed, not assumed: the Gram matrix of the trace-zero basis must have
-    full rank n(n+1)/2 - 1, appending the identity must raise the rank by
-    one, and the complement dimension is the remaining gap (always 1).
+    Computed exactly: the trace pairing is nondegenerate, so it is n(n+1)/2
+    minus the rank of sym0_basis(n). Each element's first nonzero packed
+    entry has a column of its own (echelon form), so the rank is their
+    number; the identity pairs to zero with each and spans the complement.
     """
-    import numpy as np
-
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    v = np.array([b.packed for b in sym0_basis(n) + [SymMatN.identity(n)]])
-    full = v.shape[1]
-    # Tr(XY) counts the packed diagonal (the last row, I) once and the rest twice.
-    gram_ext = (v * (2.0 - v[-1])) @ v.T
-    r0 = int(np.linalg.matrix_rank(gram_ext[:-1, :-1]))
-    r1 = int(np.linalg.matrix_rank(gram_ext))
-    if r0 != full - 1 or r1 != full:
-        raise ArithmeticError("trace-zero basis failed its rank cross-check")
-    return full - r0
+    basis = sym0_basis(n)
+    pivots = {next(k for k, v in enumerate(b.packed) if v) for b in basis}
+    if len(pivots) != len(basis) or any(_pairings(SymMatN.identity(n))):
+        raise ArithmeticError("trace-zero basis failed its echelon or pairing check")
+    return n * (n + 1) // 2 - len(basis)

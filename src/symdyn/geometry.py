@@ -87,15 +87,13 @@ def _in_range(*points: Point2) -> tuple[Point2, ...]:
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Scale-aware perpendicular-distance test for p lying on the axis line."""
     [p] = _in_range(p)
-    d = p.x * math.sin(axis.phi) - p.y * math.cos(axis.phi)
-    return abs(d) <= tol.eps * (1.0 + p.norm())
+    return tol.negligible(p.x * math.sin(axis.phi) - p.y * math.cos(axis.phi), p.norm())
 
 
 def point_on_perpendicular(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test for p lying on the line through the origin orthogonal to axis."""
     [p] = _in_range(p)
-    d = p.x * math.cos(axis.phi) + p.y * math.sin(axis.phi)
-    return abs(d) <= tol.eps * (1.0 + p.norm())
+    return tol.negligible(p.x * math.cos(axis.phi) + p.y * math.sin(axis.phi), p.norm())
 
 
 def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:

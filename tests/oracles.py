@@ -7,6 +7,7 @@ step-by-step iteration).
 
 import decimal
 import math
+from fractions import Fraction
 
 TAU = 2.0 * math.pi
 
@@ -65,6 +66,13 @@ def fused_mat_mul(a, b):
     return [[fused(a[i][1], b[1][j], a[i][0] * b[0][j]) for j in (0, 1)] for i in (0, 1)]
 
 
+def is_scalar(rows) -> bool:
+    """Whether a square matrix, given by its rows, is c * I: every diagonal
+    entry equal and every off-diagonal entry zero. Exact on integers."""
+    return all(x == (rows[0][0] if i == j else 0)
+               for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
 def mat_vec(a, v):
     return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
 
@@ -93,6 +101,25 @@ def iterate_map(x: float, y: float, lam: float, axis_angle: float, n: int):
 
 def dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.hypot(ax - bx, ay - by)
+
+
+def exact_distance_after(px: float, py: float, qx: float, qy: float,
+                         lam: float, axis_angle: float, n: int) -> float:
+    """|T^n p - T^n q| with both points iterated step by step as iterate_map
+    does, but in exact rational arithmetic on the same float entries, so only
+    the final square root rounds.
+
+    Iterating in floats loses the distance when it is far below the iterates:
+    their rounding, about |lam|**n |p| * 2**-53, is then not small against it.
+    """
+    (c, s), _ = reflection_matrix(axis_angle)
+    c, s, lam = Fraction(c), Fraction(s), Fraction(lam)
+    a = (Fraction(px), Fraction(py))
+    b = (Fraction(qx), Fraction(qy))
+    for _ in range(n):
+        a = (lam * (c * a[0] + s * a[1]), lam * (s * a[0] - c * a[1]))
+        b = (lam * (c * b[0] + s * b[1]), lam * (s * b[0] - c * b[1]))
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
 
 
 def distinct_points(xs, ys, eps: float) -> int:

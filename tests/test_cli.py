@@ -996,6 +996,13 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
     assert os.path.getsize(out) and os.path.getsize(svg)
 
 
+def test_psym_dimension_loads_no_numpy():
+    # The dimension is exact: the trace-zero basis is in echelon form, and
+    # the identity pairs to zero with each of its elements.
+    out = _fresh("import sys, symdyn\nprint(symdyn.psym_dimension(8), 'numpy' in sys.modules)\n")
+    assert out == "1 False\n"
+
+
 COMPOSE = ["compose", "--alpha", "0.3", "--theta", "1", "--cw"]
 
 

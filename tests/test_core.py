@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from symdyn import core
 from symdyn.dynamics import (ConvergenceVerdict, ConvergesTo, DivergesToInfinity, Finite,
-                             Infinite, NotConvergent, OrbitRecord, Topology, power_T)
+                             Infinite, NotConvergent, OrbitRecord, Topology, orbit, power_T)
 from symdyn.frobenius import SymMatN
-from symdyn.geometry import AxisLine, Direction, ReflectScale, mod_pi, rotation_matrix
+from symdyn.geometry import AxisLine, Direction, ReflectScale, apply_T, mod_pi, rotation_matrix
 
 TAU = 2.0 * math.pi
 
@@ -318,6 +318,17 @@ def test_close_is_false_when_the_difference_is_not_finite(x, y):
     assert not core.Tolerance().close(x, y)
 
 
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=0.0))
+def test_negligible_is_the_one_inequality(eps, d, size):
+    t = core.Tolerance(eps)
+    assert t.negligible(d, size) == (abs(d) <= eps * (1.0 + size))
+    # Not finite is never negligible, even beside an infinite size.
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not t.negligible(bad, size)
+        assert not t.negligible(bad, math.inf)
+
+
 def test_array_returning_functions_return_ndarrays():
     m = ReflectScale(2.0, AxisLine(0.3))
     for a in (core.matrix_from_params(2.0, 0.3), core.TraceZeroSym2(2.0, 0.3).matrix(),
@@ -454,3 +465,14 @@ def test_scalar_fields_are_stored_as_python_floats():
     assert tz.rows()[0][0] == 0.13607884183496033
     assert m.matrix().tobytes() == ReflectScale(float(x), _AXIS).matrix().tobytes()
     assert repr(tol) == "Tolerance(eps=0.30000001192092896)"
+    # A float32 start would make orbit and apply_T compute in float32.
+    start, exact = core.Point2(np.float32(1.0), np.float32(0.0)), core.Point2(1.0, 0.0)
+    assert [type(v) for v in (start.x, start.y)] == [float] * 2
+    half = ReflectScale(0.5, AxisLine(0.3927))
+    xs = orbit(start, half, 3).xs
+    assert xs.tolist() == [1.0, 0.35355274125561814, 0.24999999999999997, 0.08838818531390452]
+    assert xs.tobytes() == orbit(exact, half, 3).xs.tobytes()
+    image = apply_T(half, start)
+    assert [type(v) for v in (image.x, image.y)] == [float] * 2
+    want = apply_T(half, exact)
+    assert array("d", (image.x, image.y)).tobytes() == array("d", (want.x, want.y)).tobytes()

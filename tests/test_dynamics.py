@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import dynamics
-from symdyn.core import DEFAULT_TOL, Point2
+from symdyn.core import DEFAULT_TOL, ORIGIN, Point2
 from symdyn.dynamics import (
     ConvergesTo,
     DivergesToInfinity,
@@ -18,7 +18,7 @@ from symdyn.dynamics import (
     StableSet,
     Topology,
 )
-from symdyn.geometry import AxisLine, ReflectScale, apply_T
+from symdyn.geometry import AxisLine, ReflectScale, apply_T, point_on_line, point_on_perpendicular
 
 axis_angles = st.floats(min_value=0.0, max_value=math.pi, exclude_max=True, allow_nan=False)
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -451,10 +451,12 @@ def test_distance_after_three_halvings():
 
 @settings(max_examples=150)
 @given(coords, coords, coords, coords, lams, axis_angles, st.integers(min_value=0, max_value=30))
+@example(0.0, 1.0, 1e-9, 1.0, 3.0, 1.0, 16)
 def test_distance_identity_matches_iteration(px, py, qx, qy, lam, phi, n):
-    ax, ay = oracles.iterate_map(px, py, lam, phi, n)
-    bx, by = oracles.iterate_map(qx, qy, lam, phi, n)
-    iterated = oracles.dist(ax, ay, bx, by)
+    # The iterates are iterated exactly: in floats, the example's points reach
+    # about 4.3e7, whose rounding (7e-9) is not small against their distance
+    # 0.043, and the float route misses the exact law by 1.2e-9.
+    iterated = oracles.exact_distance_after(px, py, qx, qy, lam, phi, n)
     closed = dynamics.distance_after_n(Point2(px, py), Point2(qx, qy), lam, n)
     assert abs(iterated - closed) <= 1e-9 * (1.0 + closed)
 
@@ -512,6 +514,26 @@ def test_unit_scale_keeps_distinct_points_apart():
     # The distance and the bound eps * (1 + |p|) both overflow to inf here.
     assert not dynamics.is_forward_asymptotic(Point2(1.5e308, 1.5e308),
                                               Point2(-1.5e308, 1e308), 1.0)
+
+
+_ON_AXIS = ReflectScale(1.0, AxisLine(0.5))
+
+
+@pytest.mark.parametrize("verdict,expected", [
+    (lambda: point_on_line(Point2(math.inf, 0.0), _ON_AXIS.axis), False),
+    (lambda: point_on_perpendicular(Point2(math.inf, 0.0), _ON_AXIS.axis), False),
+    (lambda: dynamics.classify_orbit_cardinality(Point2(math.inf, 1.0), _ON_AXIS), Finite(2)),
+    (lambda: dynamics.classify_convergence(Point2(math.inf, 1.0), _ON_AXIS,
+                                           Topology.DISCRETE).verdict, NotConvergent()),
+    (lambda: dynamics.classify_convergence(Point2(math.inf, 1.0), _ON_AXIS,
+                                           Topology.USUAL).verdict, NotConvergent()),
+    (lambda: dynamics.is_forward_asymptotic(Point2(math.inf, 0.0), ORIGIN, 2.0), False),
+], ids=["on-line", "on-perpendicular", "cardinality", "discrete", "usual", "asymptotic"])
+def test_a_distance_that_is_not_finite_decides_nothing(verdict, expected):
+    # The distance to the line, or between the points, is inf here, and so is
+    # the bound eps * (1 + |p|); a distance that is not finite is never
+    # negligible, so no start at infinity is a fixed point.
+    assert verdict() == expected
 
 
 def test_stable_set_dichotomy_examples():
