@@ -199,7 +199,7 @@ def orbit_csv(xs, ys) -> str:
 def orbit_svg(xs, ys, axis: AxisLine) -> str:
     """SVG 1.1 document for the orbit trace whose n-th point is
     (xs[n], ys[n]), as in OrbitRecord.xs and .ys: orbit polyline plus the
-    reflection axis.
+    reflection axis; one marker (SVG 1.1, 11.6) draws a dot at every vertex.
 
     The viewport is fixed at SVG_SIZE x SVG_SIZE and scaled to the bounding
     box of the finite points with 10 percent padding; they are joined in
@@ -235,18 +235,17 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         return " ".join(["%.3f,%.3f" % (mid + (x - cx) * scale, mid - (y - cy) * scale)
                          for x, y in zip(xs[lo:hi], ys[lo:hi])])
 
-    # Each point is formatted once, as "x,y" in the polyline; "%.3f" never
-    # prints a space or a comma, so the circles are that text rewritten.
     poly = _in_slices(points, len(xs), " ")
-    dots = ('  <circle cx="' + poly.replace(" ", '" r="3" fill="#1f4e9c"/>\n  <circle cx="')
-            .replace(",", '" cy="') + '" r="3" fill="#1f4e9c"/>')
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+        '  <defs><marker id="dot" markerUnits="userSpaceOnUse" markerWidth="6" '
+        'markerHeight="6" refX="3" refY="3">'
+        '<circle cx="3" cy="3" r="3" fill="#1f4e9c"/></marker></defs>\n'
         f'{line}stroke="#999999" stroke-width="1"/>\n'
-        f'  <polyline points="{poly}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>\n'
-        f"{dots}\n"
+        f'  <polyline points="{poly}" fill="none" stroke="#1f4e9c" stroke-width="1.5" '
+        'marker-start="url(#dot)" marker-mid="url(#dot)" marker-end="url(#dot)"/>\n'
         "</svg>\n"
     )
 

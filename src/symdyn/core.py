@@ -119,12 +119,12 @@ def _reduce(x: float, period: float) -> float:
         r += period
     if r >= period:  # the += above can round up to exactly period
         r = 0.0
-    return r
+    return r + 0.0  # -0.0 (from -0.0 or -period) becomes 0.0
 
 
 def mod_2pi(x: float) -> float:
     """Reduce an angle to [0, 2*pi). Idempotent on values already in range."""
-    return _reduce(x, TAU) + 0.0  # -0.0 (from -0.0 or -2*pi) becomes 0.0
+    return _reduce(x, TAU)
 
 
 def _canonical_params(lam: float, theta: float) -> tuple[float, float]:

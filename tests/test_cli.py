@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from xml.etree import ElementTree
 
 import pytest
 
@@ -217,22 +218,49 @@ def test_orbit_iters_bounds(capsys):
     assert code == 2
 
 
+def _assert_svg_marks_each_point(svg, csv) -> None:
+    """The SVG holds one marker, whose dot is its only circle; the polyline
+    names it at its start, middle and end vertices and has one vertex per
+    finite point of the CSV; and no nan or inf appears anywhere."""
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ElementTree.parse(svg).getroot()
+    (marker,), (circle,) = list(root.iter(ns + "marker")), list(root.iter(ns + "circle"))
+    assert marker.find(ns + "circle") is circle
+    assert (circle.get("r"), circle.get("fill")) == ("3", "#1f4e9c")
+    assert marker.get("markerUnits") == "userSpaceOnUse"
+    # the dot is centred on the vertex and fits the box that markers clip to
+    assert (marker.get("refX"), marker.get("refY")) == (circle.get("cx"), circle.get("cy"))
+    r = float(circle.get("r"))
+    for c, side in (("cx", "markerWidth"), ("cy", "markerHeight")):
+        assert r <= float(circle.get(c)) <= float(marker.get(side)) - r
+    (poly,) = root.iter(ns + "polyline")
+    url = f"url(#{marker.get('id')})"
+    assert [poly.get("marker-" + at) for at in ("start", "mid", "end")] == [url] * 3
+    rows = [row.split(",")[1:] for row in csv.read_text().splitlines()[1:]]
+    finite = sum(all(math.isfinite(float(v)) for v in row) for row in rows)
+    assert len(poly.get("points").split()) == finite >= 1
+    low = svg.read_text().lower()  # as bench/check.py check_svg scans it
+    assert "nan" not in low and "inf" not in low
+
+
 def test_orbit_svg_output(capsys, tmp_path):
-    svg = tmp_path / "o.svg"
+    svg, csv = tmp_path / "o.svg", tmp_path / "o.csv"
     code, _, _ = run(capsys, "orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3927",
-                     "--iters", "8", "--out", str(tmp_path / "o.csv"), "--svg", str(svg))
+                     "--iters", "8", "--out", str(csv), "--svg", str(svg))
     assert code == 0
     text = svg.read_text()
     assert text.startswith("<?xml")
     assert "<svg xmlns" in text and "<polyline" in text and "<line" in text
+    _assert_svg_marks_each_point(svg, csv)
 
 
 def test_orbit_svg_degenerate_bbox(capsys, tmp_path):
-    svg = tmp_path / "o.svg"
+    svg, csv = tmp_path / "o.svg", tmp_path / "o.csv"
     code, _, _ = run(capsys, "orbit", "0", "0", "--lambda", "2", "--axis", "1",
-                     "--iters", "3", "--out", str(tmp_path / "o.csv"), "--svg", str(svg))
+                     "--iters", "3", "--out", str(csv), "--svg", str(svg))
     assert code == 0
     assert "<polyline" in svg.read_text()
+    _assert_svg_marks_each_point(svg, csv)
 
 
 # --- classify --------------------------------------------------------------------
@@ -580,11 +608,20 @@ PINNED = [
     (("ortho-classify", "0", "-1", "1", "0"),
      "variant = Rotation\nangle = 4.7123889803846897\n",
      '{"variant": "Rotation", "angle": 4.71238898038469}\n'),
-    # A zero angle is +0.0, whether it came from -0 or from -2*pi; the
-    # JSON-only keys echo the input as given.
+    # A zero angle is +0.0, whether it came from -0 or from -2*pi, so the
+    # axis -0 reflects (1, 0) to (1, 0), not (1, -0); the JSON-only keys echo
+    # the input as given.
     (("build", "1", "--axis", "-0"),
      "lambda = 1\ntheta = 0\naxis = 0\nmatrix = [[1, 0], [0, -1]]\n",
      '{"lambda": 1.0, "theta": 0.0, "axis": 0.0, "matrix": [1.0, 0.0, 0.0, -1.0]}\n'),
+    (("orbit", "1", "0", "--lambda", "1", "--axis", "-0", "--iters", "1"),
+     "n,x,y\n0,1,0\n1,1,0\ncardinality = Finite(1)\nconvergence[Discrete] = ConvergesTo (1, 0)\n"
+     "convergence[Usual] = ConvergesTo (1, 0)\n",
+     '{"start": [1.0, 0.0], "lambda": 1.0, "axis": -0.0, "iters": 1, '
+     '"cardinality": {"kind": "Finite", "size": 1}, "convergence": {"Discrete": '
+     '{"kind": "ConvergesTo", "limit": [1.0, 0.0]}, "Usual": {"kind": "ConvergesTo", '
+     '"limit": [1.0, 0.0]}}, "csv": null, "svg": null, "points": [[0, 1.0, 0.0], '
+     '[1, 1.0, 0.0]]}\n'),
     (("build", "3", "--theta", "-6.283185307179586"),
      "lambda = 3\ntheta = 0\naxis = 0\nmatrix = [[3, 0], [0, -3]]\n",
      '{"lambda": 3.0, "theta": 0.0, "axis": 0.0, "matrix": [3.0, 0.0, 0.0, -3.0]}\n'),
@@ -694,34 +731,34 @@ def test_decompose_output_round_trips_in_exponent_form(capsys, tmp_path):
     ("1", "0", "--lambda", "1e200", "--axis", "0.3", "--iters", "5"),
     ("1", "0", "--lambda", "2", "--axis", "0.3", "--iters", "1100"),
     ("1e-310", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "3"),
-], ids=["huge-scale", "overflow-to-inf", "subnormal-start"])
+    # point 1 overflows, so the polyline is the start alone
+    ("1e300", "0", "--lambda", "1e200", "--axis", "0.3", "--iters", "1"),
+], ids=["huge-scale", "overflow-to-inf", "subnormal-start", "one-finite-point"])
 def test_orbit_svg_has_only_finite_coordinates(capsys, tmp_path, argv):
-    svg = tmp_path / "o.svg"
-    code, _, err = run(capsys, "orbit", *argv, "--out", str(tmp_path / "o.csv"),
-                       "--svg", str(svg))
+    svg, csv = tmp_path / "o.svg", tmp_path / "o.csv"
+    code, _, err = run(capsys, "orbit", *argv, "--out", str(csv), "--svg", str(svg))
     assert code == 0, err
-    text = svg.read_text()
-    assert "<polyline" in text
-    assert "nan" not in text and "inf" not in text
+    assert "<polyline" in svg.read_text()
+    _assert_svg_marks_each_point(svg, csv)
 
 
 # sha256 of the --out CSV and --svg files; the goldens cover only short orbits
 @pytest.mark.parametrize("argv,csv_sha,svg_sha", [
     ("0.8 -1.1 --lambda 1.00001 --axis 0.7 --iters 5000",
      "974cfb223d7df2e34cab023c7cda5831f1a227022862988ce2077fbd5fb4e116",
-     "96d8a9a3faded98769bb482e8e252915eaebf4e8cab841c0fa4d02dadb0e4a6c"),
+     "46029b20de17c5e78e9c220538d3240795286989187bfe61ed6d231961530ca6"),
     ("1 0 --lambda 2 --axis 0.3 --iters 1100",
      "eeee72175c3a34f906540c1ae32797028b8352782d1791bd634f9e0d5bb9369f",
-     "c1f25beb29544a6e13b3f0d6366f226410bc604327377ff13849c15174281be5"),
+     "0338953fc8a7ba84974a36aa2721e165c4be266302707d50fc37ba854d4d95a4"),
     ("1 0 --lambda 0.5 --axis 0.3 --iters 1100",
      "696b9861c2aed5156cbda029a721238d7f84bc33adb41e90cf1be947766621ed",
-     "88a1eda21e52f801c8e40ab02d169709f646deb9bdb2972acef8e295ccc863c7"),
+     "55ea00d06effdcdd24db5acfcdfee0b380fedd8477bcc40f2a6de2b11849e1a8"),
     ("1e-310 0 --lambda 1e10 --axis 0.3 --iters 5",
      "07a56e70dd5c54ce31e0e7905b92d5fcde5bedd8a78286662503bd2b066d324a",
-     "54e359bc9e0b615e5a1ed70d196bc9470fa1f9c4ded461bdda9ce816003b3d92"),
+     "8af2b114905f5219a8dc97b22453eede46fc5ba1029fb51c375f8c38c799b2e9"),
     ("0 0 --lambda 2 --axis 1 --iters 3",
      "c4c5575123f7dd4e06ed65161f8b077a66987b3f64ac2076156abcb594ff4d7f",
-     "2f0ce50cfbd82930b78e26cc5669c3e2b4396611ba1386edb6ed7aacb68de522"),
+     "3a9a25a3f11a7c61128a1c480c4c2b1fb5ec33073d0451f9b6bde17858bbda7d"),
 ], ids=["near-unit-5000", "overflow", "underflow", "subnormal-start", "degenerate-box"])
 def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
     csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
@@ -734,22 +771,24 @@ def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
 # --- rendering in forked slices ----------------------------------------------------------
 
 # sha256 of the CSV (the --out file, or all of stdout) and of the SVG of a
-# 40000-step orbit, taken before the renderers split their rows. 40001 rows
-# make three slices of at least cli.SLICE_ROWS. The overflow orbit's rows
+# 40000-step orbit, which one, two and three slices must all give. The CSV
+# bytes and the SVG's polyline points are those the renderers gave before
+# they split their rows. 40001 rows make three slices of at least
+# cli.SLICE_ROWS. The overflow orbit's rows
 # are inf or nan from step 1025 on, across both slice boundaries.
 SLICED = [
     ("0.8 -1.1 --lambda 1.00001 --axis 0.7", True,
      "56b5bbf806ee4d1c9ceb1a30ad0acb6a882838ab525bc2b722b748e9276a74f4",
-     "eaad98e51a986751cc284c588e2413695e6abfcdc58de51ec36d3a00147597fd"),
+     "666bce3841b474cb947146f1a114b101a10bf0ed5de41da4902d7081d847e76b"),
     ("0.3 0.2 --lambda 2 --axis 0.4", True,
      "8fdfe61a3d19e4f3a35f26aab4bf839731c64ed02f2bebad5ae3ded2890ee452",
-     "3862c993e18daadf97bd6963f02c109757a6786d5075e1defa2cd046b869c9b5"),
+     "c72ce4ed3078b21b519f0a2bb90a928226cbc6703c7a79003e937f99419a3af8"),
     ("0.3 0.2 --lambda 0.5 --axis 0.4", True,
      "18e0bc4728f6edb10e7be53927729eab761a65b8388fea8d7409686717ad88d7",
-     "c5d59c2675b81f1cf9644420542fc765ce79ebac5be5ff1c8620fd6a2696e663"),
+     "15e2b22a612d903cec1afb3d1d196e803776943a41831fbc3805b13e88fd245a"),
     ("0.8 -1.1 --lambda 0.99999 --axis 0.7", False,
      "5aaf52b40d69c099143b9a5b2a95a539066bd91b94da86093ce99ade5af28f12",
-     "7337d98ced22fa4e8c3e9a0aac34af102be673c7598ddc3f07145387801b5c41"),
+     "3830be08d47dc1aeb2bad303f69b952e925702e461cde141f310ea15c8a32be2"),
 ]
 # Forcing the split in a test process that may run a BLAS thread pool makes
 # Python 3.12 and later warn about the fork; the renderer itself forks only

@@ -216,6 +216,10 @@ def test_axis_reduces_mod_pi():
     assert AxisLine(-0.5).phi == pytest.approx(math.pi - 0.5)
     # fmod keeps -1e-17, and adding pi rounds up to pi itself
     assert geometry.mod_pi(-1e-17) == AxisLine(-1e-17).phi == 0.0
+    # a zero residue is +0.0, as the docstring's [0, pi) says
+    for x in (-0.0, -math.pi):
+        assert math.copysign(1.0, geometry.mod_pi(x)) == 1.0
+        assert math.copysign(1.0, AxisLine(x).phi) == 1.0
 
 
 def test_axis_and_opposite_axis_reflect_alike():
