@@ -34,10 +34,9 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 MAX_ITERS = 1_000_000
-# The fewest rows in a slice rendered by a forked child. A child costs about
-# 4 ms to fork and read back: on a 2-core host, two slices of 4096 rows drew
-# an SVG no faster than one of 8192 (1.05x the time), while two of 8192 took
-# 0.67x (CSV) and 0.82x (SVG) the time of one of 16384.
+# The rows rendered at a time. Each slice's per-row strings are freed before
+# the next slice is made, so a 1e6-step --out --svg run peaked at 118.6 MB,
+# against 173.7 MB for one join over all rows.
 SLICE_ROWS = 8192
 SVG_SIZE = 600  # the side of the square SVG viewport, in pixels
 
@@ -105,84 +104,10 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     return EXIT_OK
 
 
-def _one_thread() -> bool:
-    """Whether this process runs a single OS thread. Threads that Python did
-    not start, such as a BLAS pool, count too: a forked child has none of
-    them, nor any lock they held."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _fork(render, lo: int, hi: int) -> tuple[int, int] | None:
-    """Starts a child that writes render(lo, hi) to a pipe and exits 0.
-    Returns (pid, read end), or None when no child could be started."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                fh.write(render(lo, hi).encode())
-            code = 0
-        finally:
-            os._exit(code)  # never returns into the caller's code
-    os.close(w)
-    return pid, r
-
-
-def _join(child: tuple[int, int]) -> str | None:
-    """Reads a child's text to the end and reaps the child; None unless it
-    exited 0."""
-    pid, r = child
-    try:
-        with open(r, "rb") as fh:
-            text = fh.read().decode()
-    finally:
-        try:
-            ok = os.waitpid(pid, 0)[1] == 0
-        except ChildProcessError:  # SIGCHLD is ignored, so the exit status is gone
-            ok = False
-    return text if ok else None
-
-
 def _in_slices(render, n: int, sep: str = "") -> str:
-    """render(lo, hi) over contiguous slices of range(n), joined by sep.
-
-    There is one slice per CPU the process may use, of at least SLICE_ROWS
-    rows each. Every slice but the last is rendered in a forked child; the
-    parent renders the last, then joins the children's text in order. A
-    slice whose child could not start or did not exit 0 is rendered in the
-    parent, so the text is the same for any number of slices. A process
-    without fork or sched_getaffinity, or with more than one thread, renders
-    one slice.
-    """
-    k = 1
-    if (n >= 2 * SLICE_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and _one_thread()):
-        k = min(len(os.sched_getaffinity(0)), n // SLICE_ROWS)
-    cuts = [n * i // k for i in range(k + 1)]
-    children = []
-    try:
-        for lo, hi in zip(cuts, cuts[1:-1]):
-            children.append(_fork(render, lo, hi))
-        last = render(cuts[-2], n)
-    finally:
-        # Every child is read and reaped, also when the render above raised.
-        texts = [child and _join(child) for child in children]
-    texts = [render(lo, hi) if text is None else text
-             for text, lo, hi in zip(texts, cuts, cuts[1:])]
-    return sep.join(texts + [last])
+    """render(lo, hi) over consecutive slices of SLICE_ROWS rows of range(n),
+    joined in order by sep."""
+    return sep.join([render(lo, min(lo + SLICE_ROWS, n)) for lo in range(0, n, SLICE_ROWS)])
 
 
 def orbit_csv(xs, ys) -> str:
@@ -211,18 +136,18 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
                   [y for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)])
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     # Near either end of the float range the box would overflow or
-    # underflow, so there the coordinates are scaled by 2**-k, which is
-    # exact; k >= -1000 keeps the 2**-k fallback half-width finite.
+    # underflow, so there the coordinates are scaled by 2**-k, which is exact.
     k = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
-    k = 0 if -512 < k < 512 else max(k, -1000)
-    if k:
+    if not -512 < k < 512:
         xs = [math.ldexp(x, -k) for x in xs]
         ys = [math.ldexp(y, -k) for y in ys]
         x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     cx = 0.5 * (x_lo + x_hi)
     cy = 0.5 * (y_lo + y_hi)
-    half = 0.5 * max(x_hi - x_lo, y_hi - y_lo)
-    half = half * 1.1 if half > 0.0 else math.ldexp(1.0, -k)
+    # A box of one point takes the point's larger coordinate magnitude as
+    # its half-width, so the axis line stays within a few viewport widths;
+    # at the origin it is one unit wide.
+    half = 0.5 * max(x_hi - x_lo, y_hi - y_lo) * 1.1 or max(abs(cx), abs(cy)) or 1.0
     mid = SVG_SIZE / 2.0
     scale = mid / half
     reach = math.hypot(cx, cy) + 3.0 * half

@@ -1,14 +1,11 @@
-import errno
 import hashlib
 import json
 import math
 import os
 import pathlib
 import random
-import signal
 import subprocess
 import sys
-import threading
 import time
 from xml.etree import ElementTree
 
@@ -740,6 +737,10 @@ def test_orbit_svg_has_only_finite_coordinates(capsys, tmp_path, argv):
     assert code == 0, err
     assert "<polyline" in svg.read_text()
     _assert_svg_marks_each_point(svg, csv)
+    # a renderer that stores coordinates in float32 can hold the axis line
+    (line,) = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}line")
+    for at in ("x1", "y1", "x2", "y2"):
+        assert abs(float(line.get(at))) <= 10 * cli.SVG_SIZE, (at, line.get(at))
 
 
 # sha256 of the --out CSV and --svg files; the goldens cover only short orbits
@@ -768,14 +769,13 @@ def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
 
-# --- rendering in forked slices ----------------------------------------------------------
+# --- rendering in slices ----------------------------------------------------------------
 
 # sha256 of the CSV (the --out file, or all of stdout) and of the SVG of a
-# 40000-step orbit, which one, two and three slices must all give. The CSV
-# bytes and the SVG's polyline points are those the renderers gave before
-# they split their rows. 40001 rows make three slices of at least
-# cli.SLICE_ROWS. The overflow orbit's rows
-# are inf or nan from step 1025 on, across both slice boundaries.
+# 40000-step orbit: 40001 rows make five slices of at most cli.SLICE_ROWS
+# rows, and the CSV and the polyline's points are the bytes of one unsliced
+# render. The overflow orbit's CSV rows are inf or nan from step 1025 on,
+# across four slice boundaries.
 SLICED = [
     ("0.8 -1.1 --lambda 1.00001 --axis 0.7", True,
      "56b5bbf806ee4d1c9ceb1a30ad0acb6a882838ab525bc2b722b748e9276a74f4",
@@ -790,123 +790,40 @@ SLICED = [
      "5aaf52b40d69c099143b9a5b2a95a539066bd91b94da86093ce99ade5af28f12",
      "3830be08d47dc1aeb2bad303f69b952e925702e461cde141f310ea15c8a32be2"),
 ]
-# Forcing the split in a test process that may run a BLAS thread pool makes
-# Python 3.12 and later warn about the fork; the renderer itself forks only
-# when the process runs one thread.
-forked_in_threads = pytest.mark.filterwarnings(
-    "ignore:This process .* is multi-threaded:DeprecationWarning")
 
 
-def _sliced_digests(capsys, tmp_path, args, to_file):
+@pytest.mark.parametrize("args,to_file,csv_sha,svg_sha", SLICED,
+                         ids=["near-unit", "overflow", "underflow", "stdout"])
+def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, args, to_file, csv_sha,
+                                               svg_sha):
     csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
     argv = ["orbit", *args.split(), "--iters", "40000", "--svg", str(svg)]
     code, out, err = run(capsys, *argv, *(["--out", str(csv)] if to_file else []))
     assert (code, err) == (0, "")
     text = csv.read_bytes() if to_file else out.encode()
-    return hashlib.sha256(text).hexdigest(), hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert hashlib.sha256(text).hexdigest() == csv_sha
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _split(monkeypatch, cpus, fork=os.fork, one_thread=True) -> list:
-    """Makes the renderers see cpus CPUs, and one thread unless one_thread
-    is false; os.fork becomes fork, and each call appends to the list
-    returned."""
-    calls = []
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    if one_thread:
-        monkeypatch.setattr(cli, "_one_thread", lambda: True)
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-@forked_in_threads
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("args,to_file,csv_sha,svg_sha", SLICED,
-                         ids=["near-unit", "overflow", "underflow", "stdout"])
-def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, monkeypatch, cpus, args,
-                                               to_file, csv_sha, svg_sha):
-    forks = _split(monkeypatch, cpus)
-    assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
-    assert bool(forks) == (cpus > 1)
-    _assert_no_child_left()
-
-
-def _fork_fails():
-    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-
-def _child_fails(fork=os.fork):  # the real fork, bound before any test patches it
-    pid = fork()
-    if pid == 0:
-        os._exit(1)
-    return pid
-
-
-@forked_in_threads
-@pytest.mark.parametrize("fork,sigchld", [
-    (_fork_fails, signal.SIG_DFL),
-    (_child_fails, signal.SIG_DFL),
-    (os.fork, signal.SIG_IGN),
-], ids=["fork-fails", "child-fails", "sigchld-ignored"])
-def test_sliced_rendering_redoes_a_failed_slice(capsys, tmp_path, monkeypatch, fork, sigchld):
-    # With SIGCHLD ignored the kernel reaps the children, so waitpid raises
-    # ChildProcessError, an OSError that must not become exit 3.
-    forks = _split(monkeypatch, 3, fork)
-    old = signal.signal(signal.SIGCHLD, sigchld)
-    try:
-        args, to_file, csv_sha, svg_sha = SLICED[0]
-        assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
-    finally:
-        signal.signal(signal.SIGCHLD, old)
-    assert len(forks) == 4  # two children for each renderer
-    _assert_no_child_left()
-
-
-def test_sliced_rendering_does_not_fork_beside_a_thread(capsys, tmp_path, monkeypatch):
-    forks = _split(monkeypatch, 3, _fork_fails, one_thread=False)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait, args=(60,))
-    thread.start()
-    try:
-        args, to_file, csv_sha, svg_sha = SLICED[0]
-        assert _sliced_digests(capsys, tmp_path, args, to_file) == (csv_sha, svg_sha)
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forks == []
-    _assert_no_child_left()
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_thread_check_counts_os_threads():
-    # In a fresh process without numpy there is one thread, so large orbits
-    # render in forked slices; a second thread turns that off.
+def test_rendering_starts_no_process():
+    # The library calls are pure: in a process of one thread, where a child
+    # could be forked safely, an orbit of many slices renders in the process
+    # itself, to the same bytes as the CLI's files.
+    _, _, csv_sha, svg_sha = SLICED[0]
     code = (
-        "import threading\n"
-        "from symdyn.cli import _one_thread\n"
-        "alone = _one_thread()\n"
-        "done = threading.Event()\n"
-        "thread = threading.Thread(target=done.wait, args=(60,))\n"
-        "thread.start()\n"
-        "print(alone, _one_thread())\n"
-        "done.set()\n"
-        "thread.join()\n"
+        "import hashlib, os, sys\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('rendering started a process')\n"
+        "os.fork = os.pipe = refuse\n"
+        "from symdyn import AxisLine, Point2, ReflectScale, orbit\n"
+        "from symdyn.cli import orbit_csv, orbit_svg\n"
+        "m = ReflectScale(1.00001, AxisLine(0.7))\n"
+        "rec = orbit(Point2(0.8, -1.1), m, 40000)\n"
+        "for text in (orbit_csv(rec.xs, rec.ys), orbit_svg(rec.xs, rec.ys, m.axis)):\n"
+        "    print(hashlib.sha256(text.encode()).hexdigest())\n"
+        "print('numpy' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=60, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["True", "False"]
+    assert _fresh(code).split() == [csv_sha, svg_sha, "False"]
 
 
 # --- start-up ----------------------------------------------------------------------------
