@@ -21,6 +21,7 @@ from .dynamics import (
     ConvergesTo,
     Finite,
     Topology,
+    _alternates,
     classify_convergence,
     classify_orbit_cardinality,
     orbit,
@@ -106,7 +107,9 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
 
 def _in_slices(render, n: int, sep: str = "") -> str:
     """render(lo, hi) over consecutive slices of SLICE_ROWS rows of range(n),
-    joined in order by sep."""
+    joined in order by sep. Each render formats its slice with one % over a
+    flat tuple; a slice whose points alternate between two, bit for bit
+    (dynamics._alternates), formats those two once and repeats the text."""
     return sep.join([render(lo, min(lo + SLICE_ROWS, n)) for lo in range(0, n, SLICE_ROWS)])
 
 
@@ -115,8 +118,14 @@ def orbit_csv(xs, ys) -> str:
     in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
 
     def rows(lo: int, hi: int) -> str:
-        return "".join(["%d,%.17g,%.17g\n" % row
-                        for row in zip(range(lo, hi), xs[lo:hi], ys[lo:hi])])
+        k = hi - lo
+        if _alternates(xs, ys, lo, hi):
+            # Each of the two points is formatted once; only n changes.
+            a, b = ["%%d,%.17g,%.17g\n" % (xs[i], ys[i]) for i in (lo, min(lo + 1, hi - 1))]
+            return ((a + b) * (k // 2) + a * (k % 2)) % tuple(range(lo, hi))
+        flat = [None] * (3 * k)
+        flat[::3], flat[1::3], flat[2::3] = range(lo, hi), xs[lo:hi], ys[lo:hi]
+        return ("%d,%.17g,%.17g\n" * k) % tuple(flat)
 
     return "n,x,y\n" + _in_slices(rows, len(xs))
 
@@ -157,8 +166,15 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         mid + (ax - cx) * scale, mid - (ay - cy) * scale)
 
     def points(lo: int, hi: int) -> str:
-        return " ".join(["%.3f,%.3f" % (mid + (x - cx) * scale, mid - (y - cy) * scale)
-                         for x, y in zip(xs[lo:hi], ys[lo:hi])])
+        k = hi - lo
+        if _alternates(xs, ys, lo, hi):
+            a, b = ["%.3f,%.3f" % (mid + (xs[i] - cx) * scale, mid - (ys[i] - cy) * scale)
+                    for i in (lo, min(lo + 1, hi - 1))]
+            return " ".join([a, b] * (k // 2) + [a] * (k % 2))
+        flat = [None] * (2 * k)
+        flat[::2] = [mid + (x - cx) * scale for x in xs[lo:hi]]
+        flat[1::2] = [mid - (y - cy) * scale for y in ys[lo:hi]]
+        return " ".join(["%.3f,%.3f"] * k) % tuple(flat)
 
     poly = _in_slices(points, len(xs), " ")
     return (

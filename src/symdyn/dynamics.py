@@ -79,6 +79,11 @@ class OrbitRecord:
     float (its norm is below sys.float_info.min, infinite or nan), or the
     step count when every point is normal; from there on the floats no
     longer follow the exact orbit.
+
+    Once a point equals, bit for bit, the point two steps before it, the
+    rest of the trace is filled by repeating those two points instead of
+    stepping: the float map is deterministic, so the steps it skips would
+    give the same bits.
     """
 
     start: Point2
@@ -148,6 +153,24 @@ def classify_orbit_cardinality(
     return Infinite()
 
 
+def _alternates(xs, ys, lo: int, hi: int) -> bool:
+    """Whether each point of the trace (xs, ys) from lo + 2 to hi - 1 is, bit
+    for bit, the point two steps before it, so that the points lo to hi - 1
+    alternate between two. Bytes are compared, not floats: 0.0 == -0.0, and
+    nan never equals itself."""
+    from array import array
+
+    for v in (xs, ys):
+        b = array("d", v[lo:hi]).tobytes()
+        if b[16:] != b[:-16]:
+            return False
+    return True
+
+
+# The steps between two checks of orbit's trace for a repeat.
+CYCLE_CHECK = 4096
+
+
 def orbit(
     p: Point2, m: ReflectScale, max_iter: int, tol: Tolerance = DEFAULT_TOL
 ) -> OrbitRecord:
@@ -160,6 +183,12 @@ def orbit(
     the start alone, however many steps are taken. truncated_at marks the
     first point that is not a normal float, past which an underflowed or
     overflowed iterate says nothing about the exact orbit.
+
+    Every CYCLE_CHECK steps the last point is compared, byte for byte, with
+    the point two steps before it. If they are equal, the map takes each of
+    the last two points to the other, so the rest of xs and ys repeats them
+    and is filled without stepping. truncated_at stays exact, because every
+    filled point copies one that was already checked.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
@@ -172,12 +201,21 @@ def orbit(
     xs, ys = array("d", (x,)), array("d", (y,))
     append_x, append_y = xs.append, ys.append
     truncated_at = max_iter if tiny <= hypot(x, y) < inf else 0
-    for n in range(1, max_iter + 1):
-        x, y = lam * (x * c + y * s), lam * (x * s - y * c)
-        append_x(x)
-        append_y(y)
-        if n <= truncated_at and not tiny <= hypot(x, y) < inf:
-            truncated_at = n
+    n = 0
+    while n < max_iter:
+        for n in range(n + 1, min(n + CYCLE_CHECK, max_iter) + 1):
+            x, y = lam * (x * c + y * s), lam * (x * s - y * c)
+            append_x(x)
+            append_y(y)
+            if n <= truncated_at and not tiny <= hypot(x, y) < inf:
+                truncated_at = n
+        if n < max_iter and _alternates(xs, ys, n - 2, n + 1):
+            # Points n + 1, n + 2, ... are points n - 1, n, ... again.
+            rest = max_iter - n
+            for v in (xs, ys):
+                v.extend(v[-2:] * (rest // 2))
+                v.extend(v[-2:-1] * (rest % 2))
+            break
     return OrbitRecord(start=p, map=m, xs=xs, ys=ys,
                        cardinality=classify_orbit_cardinality(p, m, tol),
                        truncated_at=truncated_at)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from xml.etree import ElementTree
 
 import pytest
@@ -826,6 +827,44 @@ def test_rendering_starts_no_process():
     assert _fresh(code).split() == [csv_sha, svg_sha, "False"]
 
 
+# Traces that alternate between two points, bit for bit, except at one value.
+# Each break swaps the sign of a zero or of a nan, or moves a value one ulp:
+# float comparison cannot see the first two, and %.3f in the SVG not the third.
+BREAKS = {
+    "signed-zero": ((0.0, 1.0), (-0.0, 2.0), lambda x, y: (-x, y)),
+    "nan-sign": ((math.nan, 1.0), (3.0, -math.nan),
+                 lambda x, y: (-x, y) if math.isnan(x) else (x, -y)),
+    "one-ulp": ((0.1, 1.0), (0.3, 2.0), lambda x, y: (math.nextafter(x, math.inf), y)),
+}
+# The row that breaks: the first, a middle or the last row of a slice; or,
+# across a slice boundary, every other row from the last row of one slice on,
+# so that the next slice alternates as a whole, between other points.
+ROWS = cli.SLICE_ROWS
+AT = {"unbroken": (), "first": (ROWS,), "middle": (ROWS + ROWS // 2,),
+      "last": (2 * ROWS - 1,), "boundary": range(ROWS - 1, 2 * ROWS + 3, 2)}
+
+
+@pytest.mark.parametrize("at", AT)
+@pytest.mark.parametrize("kind", BREAKS)
+def test_two_point_slices_render_as_every_row(monkeypatch, tmp_path, kind, at):
+    a, b, move = BREAKS[kind]
+    points = [(0.7, 0.7)] + [a, b] * ROWS + [a, b]  # a finite start, then 2 * ROWS + 2
+    for n in AT[at]:
+        points[n] = move(*points[n])
+    xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+    text = cli.orbit_csv(xs, ys)
+    assert text == "n,x,y\n" + "".join(
+        "%d,%.17g,%.17g\n" % (n, x, y) for n, (x, y) in enumerate(points))
+    axis = cli.AxisLine(0.3)
+    csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+    csv.write_text(text)
+    svg.write_text(cli.orbit_svg(xs, ys, axis))
+    _assert_svg_marks_each_point(svg, csv)
+    # and the same vertices as when each slice is formatted row by row
+    monkeypatch.setattr(cli, "_alternates", lambda *args: False)
+    assert svg.read_text() == cli.orbit_svg(xs, ys, axis)
+
+
 # --- start-up ----------------------------------------------------------------------------
 
 
@@ -911,7 +950,8 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
     # it loads cost about 8 ms more, typing 4 to 10 ms, and json loads only
     # for --json. The child runs with -S, so that no .pth file loads any of
     # them first; what the interpreter itself loaded before symdyn does not
-    # count.
+    # count. The array extension module loads only for orbit, whose cases
+    # come last.
     out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
     psym = {name: _write(tmp_path, f"{name}.txt", text) for name, text in (
         ("member", "3  2 0 0  0 2 0  0 0 2"), ("non-member", "2  1 0.5  0.5 3"),
@@ -921,14 +961,14 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         ["classify", "3", "4", "--lambda", "0.9", "--axis", "1.1"],
         ["ortho-classify", "0", "1", "1", "0"]) for fmt in ([], ["--json"])]
     cases += [
-        (["orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "8",
-          "--out", out, "--svg", svg], 0),
-        (["orbit", "1", "0", "--from-matrix", "0.2", "1.5", "1.5", "-0.2", "--iters", "4"], 0),
         (["decompose", "1", "2", "3", "-1"], 2),
         (["psym", psym["member"]], 0),
         (["psym", psym["non-member"], "--json"], 0),
         (["psym", psym["non-symmetric"]], 2),
         (["psym", psym["overflow"]], 2),
+        (["orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "8",
+          "--out", out, "--svg", svg], 0),
+        (["orbit", "1", "0", "--from-matrix", "0.2", "1.5", "1.5", "-0.2", "--iters", "4"], 0),
     ]
     code = (
         "import sys\n"
@@ -938,6 +978,7 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         "    assert 'numpy' not in sys.modules, when\n"
         "    assert not unloaded & set(sys.modules), (when, unloaded & set(sys.modules))\n"
         "json_before = 'json' in sys.modules\n"
+        "array_before = 'array' in sys.modules\n"
         "import symdyn\n"
         f"assert not {LOADED}, 'import symdyn loaded a submodule'\n"
         "check('import symdyn')\n"
@@ -947,6 +988,8 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
         f"for argv, expected in {cases!r}:\n"
         "    assert main(argv) == expected, argv\n"
         "    check(argv)\n"
+        "    if argv[0] != 'orbit':\n"
+        "        assert array_before or 'array' not in sys.modules, (argv, 'loaded array')\n"
     )
     _fresh(code)
     assert os.path.getsize(out) and os.path.getsize(svg)

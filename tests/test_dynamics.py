@@ -196,10 +196,27 @@ def _bits(p):
     (Point2(1.0, 0.0), 0.5, 0.3, 1100, 1023),  # underflows to 0
     (Point2(1e-310, 0.0), 1e10, 0.3, 5, 0),  # subnormal start
     (Point2(1.0, 0.0), 1.0, math.pi / 4.0, 10, 10),  # alternates from step 1
-], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "period-two"])
+    # each of these repeats the point two steps back within a few thousand
+    # steps, so past the first check that sees it the trace is filled, not
+    # stepped; the last five sit around the first check
+    (Point2(2.0, 3.0), 0.0, 0.3, 5000, 1),  # 0.0 from step 1
+    (Point2(1.0, 0.5), 1.0, 0.3, 9000, 9000),
+    (Point2(1.0, 0.5), -1.0, 0.3, 9000, 9000),
+    (Point2(1.0, 0.0), 0.9, 0.3, 20001, 6724),  # sticks at 1 to 4 times 2**-1074
+    (Point2(1.0, 0.0), 0.5, 0.3, 20001, 1023),
+    (Point2(1.0, 0.0), 2.0, 0.3, 20001, 1024),  # nan from step 1026
+    (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK - 1, dynamics.CYCLE_CHECK - 1),
+    (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK, dynamics.CYCLE_CHECK),
+    (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK + 1, dynamics.CYCLE_CHECK + 1),
+    (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK + 2, dynamics.CYCLE_CHECK + 2),
+    (Point2(1.0, 0.5), 1.0, 0.3, 2 * dynamics.CYCLE_CHECK + 3, 2 * dynamics.CYCLE_CHECK + 3),
+], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "period-two",
+        "zero-scale", "unit-scale", "minus-unit-scale", "subnormal-cycle", "underflow-20001",
+        "overflow-20001", "check-1", "check", "check+1", "check+2", "odd-remainder"])
 def test_orbit_consecutive_points_follow_the_map(start, lam, phi, max_iter, truncated_at):
-    # orbit() repeats apply_T's operations inline; every point must be the
-    # one apply_T gives, bit for bit, before and after truncated_at
+    # orbit() repeats apply_T's operations inline, and fills a trace that
+    # alternates by copying; every point must be the one apply_T gives, bit
+    # for bit, before and after truncated_at
     m = _mk(lam, phi)
     rec = dynamics.orbit(start, m, max_iter)
     assert rec.points[0] == rec.start
