@@ -105,29 +105,28 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
     return EXIT_OK
 
 
-def _in_slices(render, n: int, sep: str = "") -> str:
-    """render(lo, hi) over consecutive slices of SLICE_ROWS rows of range(n),
-    joined in order by sep. Each render formats its slice with one % over a
-    flat tuple; a slice whose points alternate between two, bit for bit
-    (dynamics._alternates), formats those two once and repeats the text."""
-    return sep.join([render(lo, min(lo + SLICE_ROWS, n)) for lo in range(0, n, SLICE_ROWS)])
+def _in_slices(row: str, sep: str, xs, ys):
+    """Yield the rows row % (n, xs[n], ys[n]), joined by sep, one slice of
+    SLICE_ROWS rows at a time; every slice but the first starts with sep. A
+    slice is formatted with one % over a flat tuple, but one whose points
+    alternate between two, bit for bit (dynamics._alternates), formats those
+    two once and repeats the text, leaving %d for n."""
+    for lo in range(0, len(xs), SLICE_ROWS):
+        hi = min(lo + SLICE_ROWS, len(xs))
+        k, lead = hi - lo, sep if lo else ""
+        if _alternates(xs, ys, lo, hi):
+            a, b = [row.replace("%d", "%%d") % (xs[i], ys[i]) for i in (lo, min(lo + 1, hi - 1))]
+            yield (lead + sep.join([a, b] * (k // 2) + [a] * (k % 2))) % tuple(range(lo, hi))
+        else:
+            flat = [None] * (3 * k)
+            flat[::3], flat[1::3], flat[2::3] = range(lo, hi), xs[lo:hi], ys[lo:hi]
+            yield (lead + sep.join([row] * k)) % tuple(flat)
 
 
 def orbit_csv(xs, ys) -> str:
     """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as
     in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
-
-    def rows(lo: int, hi: int) -> str:
-        k = hi - lo
-        if _alternates(xs, ys, lo, hi):
-            # Each of the two points is formatted once; only n changes.
-            a, b = ["%%d,%.17g,%.17g\n" % (xs[i], ys[i]) for i in (lo, min(lo + 1, hi - 1))]
-            return ((a + b) * (k // 2) + a * (k % 2)) % tuple(range(lo, hi))
-        flat = [None] * (3 * k)
-        flat[::3], flat[1::3], flat[2::3] = range(lo, hi), xs[lo:hi], ys[lo:hi]
-        return ("%d,%.17g,%.17g\n" * k) % tuple(flat)
-
-    return "n,x,y\n" + _in_slices(rows, len(xs))
+    return "n,x,y\n" + "".join(_in_slices("%d,%.17g,%.17g\n", "", xs, ys))
 
 
 def orbit_svg(xs, ys, axis: AxisLine) -> str:
@@ -165,7 +164,8 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         mid + (-ax - cx) * scale, mid - (-ay - cy) * scale,
         mid + (ax - cx) * scale, mid - (ay - cy) * scale)
 
-    def points(lo: int, hi: int) -> str:
+    def points(lo: int) -> str:
+        hi = min(lo + SLICE_ROWS, len(xs))
         k = hi - lo
         if _alternates(xs, ys, lo, hi):
             a, b = ["%.3f,%.3f" % (mid + (xs[i] - cx) * scale, mid - (ys[i] - cy) * scale)
@@ -176,7 +176,7 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         flat[1::2] = [mid - (y - cy) * scale for y in ys[lo:hi]]
         return " ".join(["%.3f,%.3f"] * k) % tuple(flat)
 
-    poly = _in_slices(points, len(xs), " ")
+    poly = " ".join(map(points, range(0, len(xs), SLICE_ROWS)))
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -269,11 +269,16 @@ def cmd_orbit(args) -> int:
     record = {"start": start, "lambda": lam, "axis": phi, "iters": args.iters,
               "cardinality": rec.cardinality, "convergence": _convergence(start, m, tol),
               "csv": args.out, "svg": args.svg}
+    if args.json and not args.out:
+        import json
+        # Slice by slice, so that no string holds every point; %r writes a
+        # float as json.dumps does, and the check above left only finite ones.
+        sys.stdout.write(json.dumps(record, default=_json, allow_nan=False)[:-1] + ', "points": [')
+        sys.stdout.writelines(_in_slices("[%d, %r, %r]", ", ", xs, ys))
+        sys.stdout.write("]}\n")
+        return EXIT_OK
     if not args.out:
-        if args.json:
-            record["points"] = list(zip(range(len(xs)), xs, ys))
-        else:
-            sys.stdout.write(orbit_csv(xs, ys))
+        sys.stdout.write(orbit_csv(xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 
 

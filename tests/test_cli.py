@@ -806,6 +806,24 @@ def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, args, to_file, 
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
 
+# sha256 of the stdout of a 40000-step --json orbit, whose points are written
+# slice by slice: the near-unit orbit of SLICED, and a lam = -1 orbit whose
+# trace alternates between two points from step 1 on.
+SLICED_JSON = [
+    ("0.8 -1.1 --lambda 1.00001 --axis 0.7",
+     "946d82f0915a2fdd611a768bad2dfde9e59a6614023591ea39abc7c5accdd87b"),
+    ("1.5655594644316941 -0.48350133349607777 --lambda -1 --axis 0.24515641675334418",
+     "02de061dfc1a9c2671e748b0913db9c3da7c2455620b8901faeb26a06c6a3928"),
+]
+
+
+@pytest.mark.parametrize("args,sha", SLICED_JSON, ids=["near-unit", "two-cycle"])
+def test_sliced_json_gives_the_same_bytes(capsys, args, sha):
+    code, out, err = run(capsys, "orbit", *args.split(), "--iters", "40000", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_rendering_starts_no_process():
     # The library calls are pure: in a process of one thread, where a child
     # could be forked safely, an orbit of many slices renders in the process
@@ -860,9 +878,32 @@ def test_two_point_slices_render_as_every_row(monkeypatch, tmp_path, kind, at):
     csv.write_text(text)
     svg.write_text(cli.orbit_svg(xs, ys, axis))
     _assert_svg_marks_each_point(svg, csv)
+    # JSON holds no nan, so only the finite breaks render as JSON rows
+    if kind != "nan-sign":
+        assert _json_rows(xs, ys) == json.dumps(list(zip(range(len(xs)), xs, ys)))
     # and the same vertices as when each slice is formatted row by row
     monkeypatch.setattr(cli, "_alternates", lambda *args: False)
     assert svg.read_text() == cli.orbit_svg(xs, ys, axis)
+
+
+def _json_rows(xs, ys):
+    return "[" + "".join(cli._in_slices("[%d, %r, %r]", ", ", xs, ys)) + "]"
+
+
+def test_json_rows_are_the_bytes_of_json_dumps():
+    # Every form repr gives a float: signed zeros, a subnormal, small and large
+    # exponents and plain decimals; the last two slices alternate between two.
+    rng = random.Random(25)
+    forms = (-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 1e22, -1e22)
+    values = [rng.choice(forms) if rng.random() < 0.5 else
+              math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023))
+              for _ in range(4 * ROWS)]
+    xs = array("d", values[:ROWS + 5] + [-0.0, 5e-324] * ROWS)
+    ys = array("d", values[2 * ROWS:3 * ROWS + 5] + [1e22, 1e-05] * ROWS)
+    text = _json_rows(xs, ys)
+    assert text == json.dumps(list(zip(range(len(xs)), xs, ys)))
+    for form in ("-0.0", "5e-324", "1e-05", "1e+16", "1e+22"):
+        assert f" {form}," in text or f" {form}]" in text, form
 
 
 # --- start-up ----------------------------------------------------------------------------
