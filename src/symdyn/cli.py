@@ -21,7 +21,7 @@ from .dynamics import (
     ConvergesTo,
     Finite,
     Topology,
-    _alternates,
+    _period,
     classify_convergence,
     classify_orbit_cardinality,
     orbit,
@@ -108,15 +108,15 @@ def _emit(record: dict, as_json: bool, json_only: tuple[str, ...] = ()) -> int:
 def _in_slices(row: str, sep: str, xs, ys):
     """Yield the rows row % (n, xs[n], ys[n]), joined by sep, one slice of
     SLICE_ROWS rows at a time; every slice but the first starts with sep. A
-    slice is formatted with one % over a flat tuple, but one whose points
-    alternate between two, bit for bit (dynamics._alternates), formats those
-    two once and repeats the text, leaving %d for n."""
+    slice is formatted with one % over a flat tuple, but one that repeats
+    with a period p, bit for bit (dynamics._period), formats its first p
+    points once and repeats the text, leaving %d for n."""
     for lo in range(0, len(xs), SLICE_ROWS):
         hi = min(lo + SLICE_ROWS, len(xs))
-        k, lead = hi - lo, sep if lo else ""
-        if _alternates(xs, ys, lo, hi):
-            a, b = [row.replace("%d", "%%d") % (xs[i], ys[i]) for i in (lo, min(lo + 1, hi - 1))]
-            yield (lead + sep.join([a, b] * (k // 2) + [a] * (k % 2))) % tuple(range(lo, hi))
+        k, lead, p = hi - lo, sep if lo else "", _period(xs, ys, lo, hi)
+        if p:
+            cycle = [row.replace("%d", "%%d") % (xs[i], ys[i]) for i in range(lo, lo + p)]
+            yield (lead + sep.join((cycle * (k // p + 1))[:k])) % tuple(range(lo, hi))
         else:
             flat = [None] * (3 * k)
             flat[::3], flat[1::3], flat[2::3] = range(lo, hi), xs[lo:hi], ys[lo:hi]
@@ -166,11 +166,11 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
 
     def points(lo: int) -> str:
         hi = min(lo + SLICE_ROWS, len(xs))
-        k = hi - lo
-        if _alternates(xs, ys, lo, hi):
-            a, b = ["%.3f,%.3f" % (mid + (xs[i] - cx) * scale, mid - (ys[i] - cy) * scale)
-                    for i in (lo, min(lo + 1, hi - 1))]
-            return " ".join([a, b] * (k // 2) + [a] * (k % 2))
+        k, p = hi - lo, _period(xs, ys, lo, hi)
+        if p:
+            cycle = ["%.3f,%.3f" % (mid + (xs[i] - cx) * scale, mid - (ys[i] - cy) * scale)
+                     for i in range(lo, lo + p)]
+            return " ".join((cycle * (k // p + 1))[:k])
         flat = [None] * (2 * k)
         flat[::2] = [mid + (x - cx) * scale for x in xs[lo:hi]]
         flat[1::2] = [mid - (y - cy) * scale for y in ys[lo:hi]]
@@ -277,8 +277,9 @@ def cmd_orbit(args) -> int:
         sys.stdout.writelines(_in_slices("[%d, %r, %r]", ", ", xs, ys))
         sys.stdout.write("]}\n")
         return EXIT_OK
-    if not args.out:
-        sys.stdout.write(orbit_csv(xs, ys))
+    if not args.out:  # slice by slice, as --json
+        sys.stdout.write("n,x,y\n")
+        sys.stdout.writelines(_in_slices("%d,%.17g,%.17g\n", "", xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 
 

@@ -78,12 +78,8 @@ class OrbitRecord:
     start and map. truncated_at is the first n whose point is not a normal
     float (its norm is below sys.float_info.min, infinite or nan), or the
     step count when every point is normal; from there on the floats no
-    longer follow the exact orbit.
-
-    Once a point equals, bit for bit, the point two steps before it, the
-    rest of the trace is filled by repeating those two points instead of
-    stepping: the float map is deterministic, so the steps it skips would
-    give the same bits.
+    longer follow the exact orbit. Once the trace repeats, the rest of it
+    is filled instead of stepped, as orbit describes.
     """
 
     start: Point2
@@ -153,22 +149,26 @@ def classify_orbit_cardinality(
     return Infinite()
 
 
-def _alternates(xs, ys, lo: int, hi: int) -> bool:
-    """Whether each point of the trace (xs, ys) from lo + 2 to hi - 1 is, bit
-    for bit, the point two steps before it, so that the points lo to hi - 1
-    alternate between two. Bytes are compared, not floats: 0.0 == -0.0, and
-    nan never equals itself."""
+def _period(xs, ys, lo: int, hi: int) -> int:
+    """The smallest p <= MAX_PERIOD, with lo + p < hi, for which each point of
+    the trace (xs, ys) from lo + p to hi - 1 is, bit for bit, the point p
+    steps before it; or 0 if there is none. Bytes are compared, not floats:
+    0.0 == -0.0, and nan never equals itself. Only a lag at which point lo
+    comes back is tried, so a slice where it does not costs one short search."""
     from array import array
 
-    for v in (xs, ys):
-        b = array("d", v[lo:hi]).tobytes()
-        if b[16:] != b[:-16]:
-            return False
-    return True
+    bx, by = (array("d", v[lo:hi]).tobytes() for v in (xs, ys))
+    i = 8
+    while (i := bx.find(bx[:8], i, 8 * MAX_PERIOD + 8)) > 0:
+        if i % 8 == 0 and bx[i:] == bx[:-i] and by[i:] == by[:-i]:
+            return i // 8
+        i += 1
+    return 0
 
 
-# The steps between two checks of orbit's trace for a repeat.
-CYCLE_CHECK = 4096
+# The steps between two checks of orbit's trace for a repeat, and the
+# longest period a check looks for.
+CYCLE_CHECK, MAX_PERIOD = 4096, 64
 
 
 def orbit(
@@ -184,11 +184,12 @@ def orbit(
     first point that is not a normal float, past which an underflowed or
     overflowed iterate says nothing about the exact orbit.
 
-    Every CYCLE_CHECK steps the last point is compared, byte for byte, with
-    the point two steps before it. If they are equal, the map takes each of
-    the last two points to the other, so the rest of xs and ys repeats them
-    and is filled without stepping. truncated_at stays exact, because every
-    filled point copies one that was already checked.
+    Every CYCLE_CHECK steps the last MAX_PERIOD + 1 points are asked for the
+    smallest period p by which each equals, byte for byte, the point p steps
+    before it (_period). If there is one, the float map, being deterministic,
+    takes the last p points round the same cycle for ever, so the rest of xs
+    and ys repeats them and is filled without stepping. truncated_at stays
+    exact, because every filled point copies one that was already checked.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
@@ -209,12 +210,10 @@ def orbit(
             append_y(y)
             if n <= truncated_at and not tiny <= hypot(x, y) < inf:
                 truncated_at = n
-        if n < max_iter and _alternates(xs, ys, n - 2, n + 1):
-            # Points n + 1, n + 2, ... are points n - 1, n, ... again.
-            rest = max_iter - n
+        if n < max_iter and (k := _period(xs, ys, n - MAX_PERIOD, n + 1)):
+            # Points n + 1, n + 2, ... are points n + 1 - k, n + 2 - k, ... again.
             for v in (xs, ys):
-                v.extend(v[-2:] * (rest // 2))
-                v.extend(v[-2:-1] * (rest % 2))
+                v.extend((v[-k:] * ((max_iter - n) // k + 1))[:max_iter - n])
             break
     return OrbitRecord(start=p, map=m, xs=xs, ys=ys,
                        cardinality=classify_orbit_cardinality(p, m, tol),

@@ -776,7 +776,8 @@ def test_orbit_file_bytes_are_pinned(capsys, tmp_path, argv, csv_sha, svg_sha):
 # 40000-step orbit: 40001 rows make five slices of at most cli.SLICE_ROWS
 # rows, and the CSV and the polyline's points are the bytes of one unsliced
 # render. The overflow orbit's CSV rows are inf or nan from step 1025 on,
-# across four slice boundaries.
+# across four slice boundaries; the lam = -1 orbit's float trace repeats
+# with period 10 from step 8 on, so it is filled and formatted by cycles.
 SLICED = [
     ("0.8 -1.1 --lambda 1.00001 --axis 0.7", True,
      "56b5bbf806ee4d1c9ceb1a30ad0acb6a882838ab525bc2b722b748e9276a74f4",
@@ -790,11 +791,14 @@ SLICED = [
     ("0.8 -1.1 --lambda 0.99999 --axis 0.7", False,
      "5aaf52b40d69c099143b9a5b2a95a539066bd91b94da86093ce99ade5af28f12",
      "3830be08d47dc1aeb2bad303f69b952e925702e461cde141f310ea15c8a32be2"),
+    ("1.634027572458791 0.5246117441466955 --lambda -1 --axis 2.5463961090569596", True,
+     "2e5001389c9e2e045075af88dcc73ea63bac1795e5412681c011732fdd8dd62b",
+     "0c837014df4c62181a066c71404915e51bd4c63fde600c6a0039a5ef8a7bfe96"),
 ]
 
 
 @pytest.mark.parametrize("args,to_file,csv_sha,svg_sha", SLICED,
-                         ids=["near-unit", "overflow", "underflow", "stdout"])
+                         ids=["near-unit", "overflow", "underflow", "stdout", "period-ten"])
 def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, args, to_file, csv_sha,
                                                svg_sha):
     csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
@@ -807,17 +811,20 @@ def test_sliced_rendering_gives_the_same_bytes(capsys, tmp_path, args, to_file, 
 
 
 # sha256 of the stdout of a 40000-step --json orbit, whose points are written
-# slice by slice: the near-unit orbit of SLICED, and a lam = -1 orbit whose
-# trace alternates between two points from step 1 on.
+# slice by slice: the near-unit orbit of SLICED, a lam = -1 orbit whose
+# trace alternates between two points from step 1 on, and the period-10
+# orbit of SLICED.
 SLICED_JSON = [
     ("0.8 -1.1 --lambda 1.00001 --axis 0.7",
      "946d82f0915a2fdd611a768bad2dfde9e59a6614023591ea39abc7c5accdd87b"),
     ("1.5655594644316941 -0.48350133349607777 --lambda -1 --axis 0.24515641675334418",
      "02de061dfc1a9c2671e748b0913db9c3da7c2455620b8901faeb26a06c6a3928"),
+    ("1.634027572458791 0.5246117441466955 --lambda -1 --axis 2.5463961090569596",
+     "ef3cc0a89c5e02cd6bbcfd11aafdf6cc5ee3987337238cd0c500b23bf94a46ed"),
 ]
 
 
-@pytest.mark.parametrize("args,sha", SLICED_JSON, ids=["near-unit", "two-cycle"])
+@pytest.mark.parametrize("args,sha", SLICED_JSON, ids=["near-unit", "two-cycle", "period-ten"])
 def test_sliced_json_gives_the_same_bytes(capsys, args, sha):
     code, out, err = run(capsys, "orbit", *args.split(), "--iters", "40000", "--json")
     assert (code, err) == (0, "")
@@ -845,31 +852,36 @@ def test_rendering_starts_no_process():
     assert _fresh(code).split() == [csv_sha, svg_sha, "False"]
 
 
-# Traces that alternate between two points, bit for bit, except at one value.
-# Each break swaps the sign of a zero or of a nan, or moves a value one ulp:
-# float comparison cannot see the first two, and %.3f in the SVG not the third.
+# Traces that repeat p points, bit for bit, except at one value. Each break
+# swaps the sign of a zero or of a nan, or moves a value one ulp: float
+# comparison cannot see the first two, and %.3f in the SVG not the third.
+# Each kind gives the j-th point of a cycle, and the break.
 BREAKS = {
-    "signed-zero": ((0.0, 1.0), (-0.0, 2.0), lambda x, y: (-x, y)),
-    "nan-sign": ((math.nan, 1.0), (3.0, -math.nan),
+    "signed-zero": (lambda j: ((0.0, -0.0)[j % 2], 1.0 + j), lambda x, y: (-x, y)),
+    "nan-sign": (lambda j: ((math.nan, 1.0 + j), (2.0 + j, -math.nan))[j % 2],
                  lambda x, y: (-x, y) if math.isnan(x) else (x, -y)),
-    "one-ulp": ((0.1, 1.0), (0.3, 2.0), lambda x, y: (math.nextafter(x, math.inf), y)),
+    "one-ulp": (lambda j: ((0.1, 0.3)[j % 2] + j // 2, 1.0 + j),
+                lambda x, y: (math.nextafter(x, math.inf), y)),
 }
 # The row that breaks: the first, a middle or the last row of a slice; or,
-# across a slice boundary, every other row from the last row of one slice on,
-# so that the next slice alternates as a whole, between other points.
+# across a slice boundary, every p-th row from the last row of one slice on,
+# so that the next slice repeats as a whole, through other points.
 ROWS = cli.SLICE_ROWS
 AT = {"unbroken": (), "first": (ROWS,), "middle": (ROWS + ROWS // 2,),
-      "last": (2 * ROWS - 1,), "boundary": range(ROWS - 1, 2 * ROWS + 3, 2)}
+      "last": (2 * ROWS - 1,), "boundary": range(ROWS - 1, 2 * ROWS + 3)}
 
 
+@pytest.mark.parametrize("p", [1, 3, 10])
 @pytest.mark.parametrize("at", AT)
 @pytest.mark.parametrize("kind", BREAKS)
-def test_two_point_slices_render_as_every_row(monkeypatch, tmp_path, kind, at):
-    a, b, move = BREAKS[kind]
-    points = [(0.7, 0.7)] + [a, b] * ROWS + [a, b]  # a finite start, then 2 * ROWS + 2
-    for n in AT[at]:
+def test_periodic_slices_render_as_every_row(monkeypatch, tmp_path, kind, at, p):
+    point, move = BREAKS[kind]
+    # a finite start, then 2 * ROWS + 2 points of the cycle
+    points = [(0.7, 0.7)] + [point(j % p) for j in range(2 * ROWS + 2)]
+    for n in AT[at][::p]:
         points[n] = move(*points[n])
     xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+    assert cli._period(xs, ys, ROWS, 2 * ROWS) == (p if at in ("unbroken", "boundary") else 0)
     text = cli.orbit_csv(xs, ys)
     assert text == "n,x,y\n" + "".join(
         "%d,%.17g,%.17g\n" % (n, x, y) for n, (x, y) in enumerate(points))
@@ -882,8 +894,15 @@ def test_two_point_slices_render_as_every_row(monkeypatch, tmp_path, kind, at):
     if kind != "nan-sign":
         assert _json_rows(xs, ys) == json.dumps(list(zip(range(len(xs)), xs, ys)))
     # and the same vertices as when each slice is formatted row by row
-    monkeypatch.setattr(cli, "_alternates", lambda *args: False)
+    monkeypatch.setattr(cli, "_period", lambda *args: 0)
     assert svg.read_text() == cli.orbit_svg(xs, ys, axis)
+
+
+# Period 2: an exact orbit that is not a fixed point alternates between two points.
+@pytest.mark.parametrize("at", AT)
+@pytest.mark.parametrize("kind", BREAKS)
+def test_two_point_slices_render_as_every_row(monkeypatch, tmp_path, kind, at):
+    test_periodic_slices_render_as_every_row(monkeypatch, tmp_path, kind, at, 2)
 
 
 def _json_rows(xs, ys):
@@ -892,7 +911,7 @@ def _json_rows(xs, ys):
 
 def test_json_rows_are_the_bytes_of_json_dumps():
     # Every form repr gives a float: signed zeros, a subnormal, small and large
-    # exponents and plain decimals; the last two slices alternate between two.
+    # exponents and plain decimals; the last two slices repeat with period 2.
     rng = random.Random(25)
     forms = (-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 1e22, -1e22)
     values = [rng.choice(forms) if rng.random() < 0.5 else

@@ -1,5 +1,6 @@
 import math
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ generic_lams = st.one_of(
 
 def _mk(lam, phi):
     return ReflectScale(lam, AxisLine(phi))
+
+
+# The start and axis of a lam = -1 orbit whose float trace repeats with period 10.
+CYCLE10_START, CYCLE10_AXIS = Point2(1.634027572458791, 0.5246117441466955), 2.5463961090569596
 
 
 # --- power_T ------------------------------------------------------------------
@@ -196,9 +201,9 @@ def _bits(p):
     (Point2(1.0, 0.0), 0.5, 0.3, 1100, 1023),  # underflows to 0
     (Point2(1e-310, 0.0), 1e10, 0.3, 5, 0),  # subnormal start
     (Point2(1.0, 0.0), 1.0, math.pi / 4.0, 10, 10),  # alternates from step 1
-    # each of these repeats the point two steps back within a few thousand
-    # steps, so past the first check that sees it the trace is filled, not
-    # stepped; the last five sit around the first check
+    # each of these repeats with a period of at most MAX_PERIOD within a few
+    # thousand steps, so past the first check that sees it the trace is
+    # filled, not stepped; the last six sit around the first checks
     (Point2(2.0, 3.0), 0.0, 0.3, 5000, 1),  # 0.0 from step 1
     (Point2(1.0, 0.5), 1.0, 0.3, 9000, 9000),
     (Point2(1.0, 0.5), -1.0, 0.3, 9000, 9000),
@@ -210,12 +215,15 @@ def _bits(p):
     (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK + 1, dynamics.CYCLE_CHECK + 1),
     (Point2(1.0, 0.5), -1.0, 0.3, dynamics.CYCLE_CHECK + 2, dynamics.CYCLE_CHECK + 2),
     (Point2(1.0, 0.5), 1.0, 0.3, 2 * dynamics.CYCLE_CHECK + 3, 2 * dynamics.CYCLE_CHECK + 3),
+    # period 10 from step 8, with a remainder of 9 points after the last cycle
+    (CYCLE10_START, -1.0, CYCLE10_AXIS, 2 * dynamics.CYCLE_CHECK + 3, 2 * dynamics.CYCLE_CHECK + 3),
 ], ids=["generic", "overflow", "huge-scale", "underflow", "subnormal-start", "period-two",
         "zero-scale", "unit-scale", "minus-unit-scale", "subnormal-cycle", "underflow-20001",
-        "overflow-20001", "check-1", "check", "check+1", "check+2", "odd-remainder"])
+        "overflow-20001", "check-1", "check", "check+1", "check+2", "odd-remainder",
+        "period-ten"])
 def test_orbit_consecutive_points_follow_the_map(start, lam, phi, max_iter, truncated_at):
     # orbit() repeats apply_T's operations inline, and fills a trace that
-    # alternates by copying; every point must be the one apply_T gives, bit
+    # repeats by copying; every point must be the one apply_T gives, bit
     # for bit, before and after truncated_at
     m = _mk(lam, phi)
     rec = dynamics.orbit(start, m, max_iter)
@@ -224,6 +232,28 @@ def test_orbit_consecutive_points_follow_the_map(start, lam, phi, max_iter, trun
     for a, b in zip(rec.points, rec.points[1:]):
         assert _bits(b) == _bits(apply_T(m, a))
     assert rec.truncated_at == truncated_at
+
+
+@pytest.mark.parametrize("xs,ys,lo,period", [
+    ([2.0] * 5, [-1.0] * 5, 0, 1),  # a fixed point
+    ([0.5 ** n for n in range(100)], [0.0] * 100, 0, 0),  # no point comes back
+    ([2.0], [-1.0], 0, 0),  # one row: no point p steps on to compare
+    ([0.0] * 5 + [-0.0], [1.0] * 6, 0, 0),  # 0.0 == -0.0, but not bit for bit
+    ([math.nan, 1.0] * 3, [1.0, 2.0, 1.0, 2.0, 1.0, 2.0], 0, 2),  # nan is its own bytes
+    ([math.nan, 1.0] * 2 + [-math.nan, 1.0], [1.0, 2.0] * 3, 0, 0),  # but not -nan's
+    ([1.0, 2.0, 1.0, 3.0] * 3, [0.0] * 12, 0, 4),  # point 0 comes back at lag 2 first
+], ids=["fixed", "none", "one-row", "signed-zero", "nan", "nan-sign", "later-lag"])
+def test_period_compares_bytes(xs, ys, lo, period):
+    assert dynamics._period(array("d", xs), array("d", ys), lo, len(xs)) == period
+
+
+def test_period_of_a_float_cycle_longer_than_two():
+    # an exact lam = -1 orbit has at most 2 points, but this float trace
+    # comes back to its step-8 point at step 18, and to no earlier one
+    rec = dynamics.orbit(CYCLE10_START, _mk(-1.0, CYCLE10_AXIS), 200)
+    assert dynamics._period(rec.xs, rec.ys, 8, 201) == 10
+    assert dynamics._period(rec.xs, rec.ys, 7, 201) == 0
+    assert dynamics._period(rec.xs, rec.ys, 201 - dynamics.MAX_PERIOD - 1, 201) == 10
 
 
 def test_orbit_rejects_zero_iterations():
