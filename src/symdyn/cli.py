@@ -9,6 +9,8 @@ record, which _emit prints as key = value text or as one --json line.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import math
 import os
 import re
@@ -17,18 +19,36 @@ from enum import Enum
 
 from .core import (Point2, Tolerance, TraceZeroSym2, classify_orthogonal, decompose,
                    matrix_from_params)
-from .dynamics import (
-    ConvergesTo,
-    Finite,
-    Topology,
-    _period,
-    classify_convergence,
-    classify_orbit_cardinality,
-    orbit,
-    stable_set,
-)
-from .frobenius import SymMatN, frobenius_inner, is_in_psym, psym_witness, scaled, sym0_basis
-from .geometry import AxisLine, Direction, ReflectScale, compose_rotation_reflection, rotation_matrix
+
+# The names the CLI takes from the other modules, by module. Each command
+# binds the names of the modules it runs (_bind), so a one-shot process loads
+# and compiles only those; __getattr__ resolves the same names from outside.
+_USES = {
+    "geometry": ("AxisLine", "Direction", "ReflectScale", "compose_rotation_reflection",
+                 "rotation_matrix"),
+    "dynamics": ("ConvergesTo", "Finite", "Topology", "_period", "classify_convergence",
+                 "classify_orbit_cardinality", "orbit", "stable_set"),
+    "frobenius": ("SymMatN", "frobenius_inner", "is_in_psym", "psym_witness", "scaled",
+                  "sym0_basis"),
+}
+
+
+def _bind(*modules: str) -> None:
+    # A name already bound here is kept: a caller may have replaced it, as a
+    # span wrapper or a test's monkeypatch does.
+    for module in modules:
+        owner = importlib.import_module(f"{__package__}.{module}")
+        for name in _USES[module]:
+            globals().setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name):
+    # PEP 562: a name of _USES read from outside before any command bound it.
+    for module, names in _USES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,6 +131,7 @@ def _in_slices(row: str, sep: str, xs, ys):
     slice is formatted with one % over a flat tuple, but one that repeats
     with a period p, bit for bit (dynamics._period), formats its first p
     points once and repeats the text, leaving %d for n."""
+    _bind("dynamics")
     for lo in range(0, len(xs), SLICE_ROWS):
         hi = min(lo + SLICE_ROWS, len(xs))
         k, lead, p = hi - lo, sep if lo else "", _period(xs, ys, lo, hi)
@@ -138,6 +159,7 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     box of the finite points with 10 percent padding; they are joined in
     iteration order, and points that overflowed are left out.
     """
+    _bind("dynamics")
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
         xs, ys = ([x for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)],
@@ -247,6 +269,7 @@ def _orbit_map(args, tol: Tolerance) -> tuple[float, float]:
 
 
 def cmd_orbit(args) -> int:
+    _bind("geometry", "dynamics")
     tol = Tolerance(args.tol)
     if not 1 <= args.iters <= MAX_ITERS:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
@@ -284,6 +307,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _bind("geometry", "dynamics")
     tol = Tolerance(args.tol)
     phi = _rad(args.axis, args.degrees)
     m = ReflectScale(args.lam, AxisLine(phi))
@@ -303,6 +327,7 @@ def _fma(x: float, y: float, z: float) -> float:
 
 
 def cmd_compose(args) -> int:
+    _bind("geometry")
     alpha = _rad(args.alpha, args.degrees)
     theta = _rad(args.theta, args.degrees)
     direction = Direction.CLOCKWISE if args.cw else Direction.ANTICLOCKWISE
@@ -320,6 +345,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_psym(args) -> int:
+    _bind("frobenius")
     tol = Tolerance(args.tol)
     with open(args.file) as fh:
         tokens = fh.read().split()
@@ -456,7 +482,12 @@ def cli_main() -> None:
     # numpy, and not in main(), which in-process callers share; a value the
     # user set still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    status = main()
+    # The process frees every object as it ends, so the collections at exit
+    # need not walk them (about 8 ms of a one-shot command). atexit handlers,
+    # the flush of stdout and stderr and the exit status stay as they were.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

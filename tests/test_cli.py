@@ -834,7 +834,8 @@ def test_sliced_json_gives_the_same_bytes(capsys, args, sha):
 def test_rendering_starts_no_process():
     # The library calls are pure: in a process of one thread, where a child
     # could be forked safely, an orbit of many slices renders in the process
-    # itself, to the same bytes as the CLI's files.
+    # itself, to the same bytes as the CLI's files. The SVG comes first, so
+    # it runs where no other symdyn.cli call has bound the names it uses.
     _, _, csv_sha, svg_sha = SLICED[0]
     code = (
         "import hashlib, os, sys\n"
@@ -845,7 +846,8 @@ def test_rendering_starts_no_process():
         "from symdyn.cli import orbit_csv, orbit_svg\n"
         "m = ReflectScale(1.00001, AxisLine(0.7))\n"
         "rec = orbit(Point2(0.8, -1.1), m, 40000)\n"
-        "for text in (orbit_csv(rec.xs, rec.ys), orbit_svg(rec.xs, rec.ys, m.axis)):\n"
+        "svg = orbit_svg(rec.xs, rec.ys, m.axis)\n"
+        "for text in (orbit_csv(rec.xs, rec.ys), svg):\n"
         "    print(hashlib.sha256(text.encode()).hexdigest())\n"
         "print('numpy' in sys.modules)\n"
     )
@@ -1062,6 +1064,122 @@ def test_psym_dimension_loads_no_numpy():
     assert out == "1 False\n"
 
 
+# Each command's successful inputs, one input it must exit 2 on, and the
+# symdyn modules it loads besides symdyn.cli, whether it prints text or JSON
+# and whatever its outcome. {tmp} is the directory of psym's matrix files.
+COMMAND_MODULES = {
+    "decompose": ([["3", "4", "4", "-3"]], ["1", "2", "3", "-1"], ["core"]),
+    "build": ([["5", "--theta", "0.9"], ["-0", "--axis", "1"]], ["5"], ["core"]),
+    "ortho-classify": ([["0", "1", "1", "0"], ["0", "-1", "1", "0"]], ["1", "1", "1", "1"],
+                       ["core"]),
+    "classify": ([["3", "4", "--lambda", "0.9", "--axis", "1.1"]],
+                 ["inf", "4", "--lambda", "0.9", "--axis", "1.1"],
+                 ["core", "dynamics", "geometry"]),
+    "orbit": ([["1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "8"],
+               ["1", "0", "--lambda", "-1", "--axis", "0.3", "--iters", "8",
+                "--out", "{tmp}/o.csv", "--svg", "{tmp}/o.svg"]],
+              ["1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "0"],
+              ["core", "dynamics", "geometry"]),
+    "compose": ([["--alpha", "0.3", "--theta", "1", "--cw"]],
+                ["--alpha", "inf", "--theta", "1", "--cw"], ["core", "geometry"]),
+    "psym": ([["{tmp}/member.txt"], ["{tmp}/other.txt"]], ["{tmp}/asymmetric.txt"],
+             ["core", "frobenius"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    # Each module a one-shot command does not load is also one it does not
+    # compile, where no bytecode is cached. An exit-2 input takes the error
+    # paths, which must reach no name of a module the command did not load.
+    ok, bad, modules = COMMAND_MODULES[command]
+    for name, text in (("member", "3  2 0 0  0 2 0  0 0 2"), ("other", "2  1 0.5  0.5 3"),
+                       ("asymmetric", "2  0 1  2 0")):
+        _write(tmp_path, f"{name}.txt", text)
+    cases = [([command, *argv, *fmt], 0) for argv in ok for fmt in ([], ["--json"])]
+    cases = [([a.replace("{tmp}", str(tmp_path)) for a in argv], code)
+             for argv, code in [*cases, ([command, *bad], 2)]]
+    path = ""
+    if command == "compose":  # -S leaves site-packages, and so numpy, off the path
+        numpy = pytest.importorskip("numpy")
+        path = f"sys.path.append({os.path.dirname(os.path.dirname(numpy.__file__))!r})\n"
+    out = _fresh(
+        f"import sys\n{path}"
+        "from symdyn.cli import main\n"
+        f"for argv, expected in {cases!r}:\n"
+        "    assert main(argv) == expected, argv\n"
+        f"print({LOADED})\n"
+    )
+    assert out.splitlines()[-1] == str([f"symdyn.{m}" for m in ["cli", *modules]])
+
+
+def _traced_names() -> list:
+    # The names bench/tracing.py replaces in the symdyn.cli namespace: its
+    # TRACED table, read without importing the bench, and SymMatN.
+    import ast
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]]
+    return [*ast.literal_eval(table), "SymMatN"]
+
+
+def test_cli_resolves_the_names_the_bench_wraps():
+    # Before any command runs, each name is an attribute of symdyn.cli, and
+    # the object of the module that defines it.
+    out = _fresh(
+        "import importlib\n"
+        "from symdyn import cli\n"
+        f"for name in {_traced_names()!r}:\n"
+        "    value = getattr(cli, name)\n"
+        "    owner = importlib.import_module(value.__module__)\n"
+        "    assert getattr(owner, name) is value, name\n"
+        "    print(name, owner.__name__)\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    owners = dict(line.split() for line in out.splitlines()[:-1])
+    assert owners["orbit"] == "symdyn.dynamics" and owners["SymMatN"] == "symdyn.frobenius"
+    assert owners["rotation_matrix"] == "symdyn.geometry" and owners["decompose"] == "symdyn.core"
+    assert owners["orbit_csv"] == owners["build_parser"] == "symdyn.cli"
+    assert out.splitlines()[-1] == "module 'symdyn.cli' has no attribute 'no_such_name'"
+
+
+def test_a_name_set_on_cli_before_its_module_loads_is_the_one_called(tmp_path):
+    # The bench's span wrappers and the tests' monkeypatches replace names of
+    # symdyn.cli; a renderer or command that binds its modules' names later
+    # keeps them. Here no symdyn module but cli and core has loaded when the
+    # stubs are set.
+    out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
+    psym = _write(tmp_path, "m.txt", "2  1 0  0 1")
+    code = (
+        "from array import array\n"
+        "from symdyn import cli\n"
+        "calls, seen = [], []\n"
+        "cli._period = lambda *args: calls.append('_period') or 0\n"
+        "cli.is_in_psym = lambda *args: calls.append('is_in_psym') or True\n"
+        "xs, ys = array('d', [1.0, -1.0] * 3), array('d', [0.5, 0.5] * 3)\n"
+        "cli.orbit_csv(xs, ys)\n"
+        "seen.append(calls[:])\n"
+        "cli.orbit_svg(xs, ys, cli.AxisLine(0.3))\n"
+        "seen.append(calls[:])\n"
+        "from symdyn.dynamics import orbit\n"
+        "cli.orbit = lambda *args: calls.append('orbit') or orbit(*args)\n"
+        "calls.clear()\n"
+        "argv = ['orbit', '1', '0', '--lambda', '-1', '--axis', '0.3', '--iters', '4',\n"
+        f"        '--out', {out!r}, '--svg', {svg!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "seen.append(calls[:])\n"
+        "calls.clear()\n"
+        f"assert cli.main(['psym', {psym!r}]) == 0\n"
+        "seen.append(calls[:])\n"
+        "print(seen)\n"
+    )
+    assert _fresh(code).splitlines()[-1] == str([
+        ["_period"], ["_period", "_period"], ["orbit", "_period", "_period"], ["is_in_psym"]])
+
+
 COMPOSE = ["compose", "--alpha", "0.3", "--theta", "1", "--cw"]
 
 
@@ -1134,6 +1252,37 @@ def test_compose_loads_no_fractions_or_decimal():
     state = _compose_as_main()
     assert state["status"] == 0 and "numpy" in state["loaded"]
     assert not {"fractions", "decimal"} & set(state["loaded"])
+
+
+def test_only_the_process_entry_point_freezes_the_collector():
+    # cli_main freezes every object before the process exits, so the
+    # collections at exit skip them; main, which in-process callers share,
+    # leaves the collector alone. The atexit hook runs after the freeze.
+    decompose = ["decompose", "3", "4", "4", "-3"]
+    out = _fresh(
+        "import atexit, gc, runpy, sys\n"
+        "from symdyn.cli import main\n"
+        f"assert main({decompose!r}) == 0\n"
+        "print('main', gc.get_freeze_count())\n"
+        "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['symdyn', *{decompose!r}]\n"
+        "runpy.run_module('symdyn', run_name='__main__', alter_sys=True)\n"
+    ).splitlines()
+    assert out[4] == "main 0" and out[-1] == "exit True"
+    assert out[:4] == out[5:9]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["decompose", "3", "4", "4", "-3"], 0),
+    (["decompose", "1", "2", "3", "-1"], 2),
+    (["orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--out", "{tmp}/no/o.csv"], 3),
+])
+def test_a_process_prints_and_exits_as_main_returns(capsys, tmp_path, argv, code):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    res = subprocess.run([sys.executable, "-m", "symdyn", *argv], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (res.returncode, res.stdout, res.stderr) == run(capsys, *argv)
+    assert res.returncode == code
 
 
 # --- scripts ----------------------------------------------------------------------------
