@@ -17,38 +17,28 @@ import re
 import sys
 from enum import Enum
 
-from .core import (Point2, Tolerance, TraceZeroSym2, classify_orthogonal, decompose,
+from . import _EXPORTS, _OWNER
+from .core import (Point2, Tolerance, TraceZeroSym2, _period, classify_orthogonal, decompose,
                    matrix_from_params)
-
-# The names the CLI takes from the other modules, by module. Each command
-# binds the names of the modules it runs (_bind), so a one-shot process loads
-# and compiles only those; __getattr__ resolves the same names from outside.
-_USES = {
-    "geometry": ("AxisLine", "Direction", "ReflectScale", "compose_rotation_reflection",
-                 "rotation_matrix"),
-    "dynamics": ("ConvergesTo", "Finite", "Topology", "_period", "classify_convergence",
-                 "classify_orbit_cardinality", "orbit", "stable_set"),
-    "frobenius": ("SymMatN", "frobenius_inner", "is_in_psym", "psym_witness", "scaled",
-                  "sym0_basis"),
-}
 
 
 def _bind(*modules: str) -> None:
-    # A name already bound here is kept: a caller may have replaced it, as a
-    # span wrapper or a test's monkeypatch does.
+    # A command binds the public names of the modules it runs, so a one-shot
+    # process loads only those. A name already bound here is kept: a span
+    # wrapper or a test's monkeypatch may have replaced it.
     for module in modules:
         owner = importlib.import_module(f"{__package__}.{module}")
-        for name in _USES[module]:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(owner, name))
 
 
 def __getattr__(name):
-    # PEP 562: a name of _USES read from outside before any command bound it.
-    for module, names in _USES.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: a public name read from outside before any command bound it.
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_OWNER[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,9 +119,8 @@ def _in_slices(row: str, sep: str, xs, ys):
     """Yield the rows row % (n, xs[n], ys[n]), joined by sep, one slice of
     SLICE_ROWS rows at a time; every slice but the first starts with sep. A
     slice is formatted with one % over a flat tuple, but one that repeats
-    with a period p, bit for bit (dynamics._period), formats its first p
+    with a period p, bit for bit (core._period), formats its first p
     points once and repeats the text, leaving %d for n."""
-    _bind("dynamics")
     for lo in range(0, len(xs), SLICE_ROWS):
         hi = min(lo + SLICE_ROWS, len(xs))
         k, lead, p = hi - lo, sep if lo else "", _period(xs, ys, lo, hi)
@@ -144,10 +133,16 @@ def _in_slices(row: str, sep: str, xs, ys):
             yield (lead + sep.join([row] * k)) % tuple(flat)
 
 
+def _csv(xs, ys):
+    # The header n,x,y, then the rows, one slice at a time.
+    yield "n,x,y\n"
+    yield from _in_slices("%d,%.17g,%.17g\n", "", xs, ys)
+
+
 def orbit_csv(xs, ys) -> str:
     """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as
     in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
-    return "n,x,y\n" + "".join(_in_slices("%d,%.17g,%.17g\n", "", xs, ys))
+    return "".join(_csv(xs, ys))
 
 
 def orbit_svg(xs, ys, axis: AxisLine) -> str:
@@ -159,7 +154,6 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     box of the finite points with 10 percent padding; they are joined in
     iteration order, and points that overflowed are left out.
     """
-    _bind("dynamics")
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
         xs, ys = ([x for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)],
@@ -301,8 +295,7 @@ def cmd_orbit(args) -> int:
         sys.stdout.write("]}\n")
         return EXIT_OK
     if not args.out:  # slice by slice, as --json
-        sys.stdout.write("n,x,y\n")
-        sys.stdout.writelines(_in_slices("%d,%.17g,%.17g\n", "", xs, ys))
+        sys.stdout.writelines(_csv(xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 
 
@@ -346,6 +339,7 @@ def cmd_compose(args) -> int:
 
 def cmd_psym(args) -> int:
     _bind("frobenius")
+    from .frobenius import psym_witness, scaled
     tol = Tolerance(args.tol)
     with open(args.file) as fh:
         tokens = fh.read().split()

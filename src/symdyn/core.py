@@ -257,6 +257,26 @@ def _ndarray(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+MAX_PERIOD = 64  # the longest period _period looks for
+
+
+def _period(xs, ys, lo: int, hi: int) -> int:
+    """The smallest p <= MAX_PERIOD, with lo + p < hi, for which each point of
+    the trace (xs, ys) from lo + p to hi - 1 is, bit for bit, the point p
+    steps before it; or 0 if there is none. Bytes are compared, not floats:
+    0.0 == -0.0, and nan never equals itself. Only a lag at which point lo
+    comes back is tried, so a slice where it does not costs one short search."""
+    from array import array
+
+    bx, by = (array("d", v[lo:hi]).tobytes() for v in (xs, ys))
+    i = 8
+    while (i := bx.find(bx[:8], i, 8 * MAX_PERIOD + 8)) > 0:
+        if i % 8 == 0 and bx[i:] == bx[:-i] and by[i:] == by[:-i]:
+            return i // 8
+        i += 1
+    return 0
+
+
 def _as_matrix2(m) -> tuple[float, float, float, float]:
     # The entries x, p, q, y of [[x, p], [q, y]].
     try:
@@ -291,7 +311,7 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     lam = math.hypot(a, b)
     if lam <= tol.eps:
         return TraceZeroSym2(0.0, 0.0)
-    return TraceZeroSym2(lam, mod_2pi(math.atan2(b, a)))
+    return TraceZeroSym2(lam, math.atan2(b, a))
 
 
 def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:
@@ -315,11 +335,11 @@ def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:
     if tol.close(det, 1.0):
         c = 0.5 * (x + y)
         s = 0.5 * (p - q)
-        return Orthogonal2(OrthogonalVariant.ROTATION, mod_2pi(math.atan2(s, c)))
+        return Orthogonal2(OrthogonalVariant.ROTATION, math.atan2(s, c))
     if tol.close(det, -1.0):
         c = 0.5 * (x - y)
         s = 0.5 * (p + q)
-        return Orthogonal2(OrthogonalVariant.REFLECTION, mod_2pi(math.atan2(s, c)))
+        return Orthogonal2(OrthogonalVariant.REFLECTION, math.atan2(s, c))
     raise NotOrthogonalError("determinant is near neither +1 nor -1")
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 from enum import Enum
 
-from .core import DEFAULT_TOL, ORIGIN, Point2, Tolerance, _ndarray, frozen
+from .core import DEFAULT_TOL, MAX_PERIOD, ORIGIN, Point2, Tolerance, _ndarray, _period, frozen
 from .geometry import ReflectScale, _in_range, point_on_line, point_on_perpendicular
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -149,26 +149,8 @@ def classify_orbit_cardinality(
     return Infinite()
 
 
-def _period(xs, ys, lo: int, hi: int) -> int:
-    """The smallest p <= MAX_PERIOD, with lo + p < hi, for which each point of
-    the trace (xs, ys) from lo + p to hi - 1 is, bit for bit, the point p
-    steps before it; or 0 if there is none. Bytes are compared, not floats:
-    0.0 == -0.0, and nan never equals itself. Only a lag at which point lo
-    comes back is tried, so a slice where it does not costs one short search."""
-    from array import array
-
-    bx, by = (array("d", v[lo:hi]).tobytes() for v in (xs, ys))
-    i = 8
-    while (i := bx.find(bx[:8], i, 8 * MAX_PERIOD + 8)) > 0:
-        if i % 8 == 0 and bx[i:] == bx[:-i] and by[i:] == by[:-i]:
-            return i // 8
-        i += 1
-    return 0
-
-
-# The steps between two checks of orbit's trace for a repeat, and the
-# longest period a check looks for.
-CYCLE_CHECK, MAX_PERIOD = 4096, 64
+# The steps between two checks of orbit's trace for a repeat.
+CYCLE_CHECK = 4096
 
 
 def orbit(

@@ -834,8 +834,7 @@ def test_sliced_json_gives_the_same_bytes(capsys, args, sha):
 def test_rendering_starts_no_process():
     # The library calls are pure: in a process of one thread, where a child
     # could be forked safely, an orbit of many slices renders in the process
-    # itself, to the same bytes as the CLI's files. The SVG comes first, so
-    # it runs where no other symdyn.cli call has bound the names it uses.
+    # itself, to the same bytes as the CLI's files.
     _, _, csv_sha, svg_sha = SLICED[0]
     code = (
         "import hashlib, os, sys\n"
@@ -1124,16 +1123,19 @@ def _traced_names() -> list:
 
 
 def test_cli_resolves_the_names_the_bench_wraps():
-    # Before any command runs, each name is an attribute of symdyn.cli, and
-    # the object of the module that defines it.
+    # Before any command runs, each name the bench wraps is an attribute of
+    # symdyn.cli, and the object of the module that defines it; so is every
+    # public name, which is the package's own object.
     out = _fresh(
-        "import importlib\n"
+        "import importlib, symdyn\n"
         "from symdyn import cli\n"
         f"for name in {_traced_names()!r}:\n"
         "    value = getattr(cli, name)\n"
         "    owner = importlib.import_module(value.__module__)\n"
         "    assert getattr(owner, name) is value, name\n"
         "    print(name, owner.__name__)\n"
+        "for name in symdyn.__all__:\n"
+        "    assert getattr(cli, name) is getattr(symdyn, name), name\n"
         "try:\n"
         "    cli.no_such_name\n"
         "except AttributeError as e:\n"
@@ -1150,10 +1152,11 @@ def test_a_name_set_on_cli_before_its_module_loads_is_the_one_called(tmp_path):
     # The bench's span wrappers and the tests' monkeypatches replace names of
     # symdyn.cli; a renderer or command that binds its modules' names later
     # keeps them. Here no symdyn module but cli and core has loaded when the
-    # stubs are set.
+    # stubs are set, and the renderers, given plain arrays, load no other.
     out, svg = str(tmp_path / "o.csv"), str(tmp_path / "o.svg")
     psym = _write(tmp_path, "m.txt", "2  1 0  0 1")
     code = (
+        "import sys\n"
         "from array import array\n"
         "from symdyn import cli\n"
         "calls, seen = [], []\n"
@@ -1162,8 +1165,10 @@ def test_a_name_set_on_cli_before_its_module_loads_is_the_one_called(tmp_path):
         "xs, ys = array('d', [1.0, -1.0] * 3), array('d', [0.5, 0.5] * 3)\n"
         "cli.orbit_csv(xs, ys)\n"
         "seen.append(calls[:])\n"
-        "cli.orbit_svg(xs, ys, cli.AxisLine(0.3))\n"
+        "axis = cli.AxisLine(0.3)\n"
+        "cli.orbit_svg(xs, ys, axis)\n"
         "seen.append(calls[:])\n"
+        f"assert {LOADED} == ['symdyn.cli', 'symdyn.core', 'symdyn.geometry'], {LOADED}\n"
         "from symdyn.dynamics import orbit\n"
         "cli.orbit = lambda *args: calls.append('orbit') or orbit(*args)\n"
         "calls.clear()\n"
@@ -1288,9 +1293,21 @@ def test_a_process_prints_and_exits_as_main_returns(capsys, tmp_path, argv, code
 # --- scripts ----------------------------------------------------------------------------
 
 
+# contraction_rates.py asserts d_n = |lam|^n d_0 on every cell of its table.
+# The scripts call apply_T, stable_set, orbit, classify_convergence, orbit_csv
+# and orbit_svg as library calls, which the rest of this file reaches only
+# through the CLI. At
+# 20000 steps each of its default scales reaches a trace that repeats with
+# period 1 or 2 (1.05 after overflowing to nan), so orbit fills the rest and
+# the renderers format each such slice's p points once; the lam = -1 orbit
+# of the last case settles on period 10. None of them needs numpy.
 @pytest.mark.parametrize("script,args", [
     ("orbit_gallery.py", ["--outdir", "{tmp}"]),
     ("contraction_rates.py", []),
+    ("orbit_gallery.py", ["--iters", "20000", "--outdir", "{tmp}"]),
+    ("orbit_gallery.py", ["--x", "1.634027572458791", "--y", "0.5246117441466955",
+                          "--axis", "2.5463961090569596", "--lams", "-1.0",
+                          "--iters", "20000", "--outdir", "{tmp}"]),
 ])
 def test_script_runs(tmp_path, script, args):
     argv = [sys.executable, str(ROOT / "scripts" / script)]
