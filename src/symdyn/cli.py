@@ -57,7 +57,11 @@ def _fmt(x: float) -> str:
 
 
 def _rad(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
+    if not degrees:
+        return value
+    # fmod by 360 is exact for every double, so whole turns vanish exactly;
+    # below two turns the value goes through as given and keeps its bytes.
+    return math.radians(math.fmod(value, 360.0) if 720.0 <= abs(value) < math.inf else value)
 
 
 def _text(v) -> str:
@@ -397,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", type=float, help="scale")
     p.add_argument("--theta", type=float, help="matrix angle")
     p.add_argument("--axis", type=float, help="reflection-axis angle (half the matrix angle)")
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("orbit", help="iterate the map and emit CSV (and optional SVG)")
@@ -417,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=64, help="iteration count (1..1000000, default 64)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--svg", default=None, help="SVG output path")
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("classify", help="orbit cardinality, stable set, and convergence verdicts")
@@ -425,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", type=float, help="start y")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="scale")
     p.add_argument("--axis", type=float, required=True, help="reflection-axis angle")
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compose", help="rotation composed with a reflection, as one reflection")
@@ -434,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cw", action="store_true", help="clockwise rotation")
     group.add_argument("--acw", action="store_true", help="anticlockwise rotation")
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("psym", help="test the trace pairing of a symmetric matrix file")
@@ -446,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ortho_classify)
 
     for name, p in sub.choices.items():
+        if name in ("build", "orbit", "classify", "compose"):
+            p.add_argument("--degrees", action="store_true", help="angles are degrees")
         if name != "compose":  # compose checks its product at a fixed 1e-12
             p.add_argument("--tol", type=float, default=1e-9,
                            help="comparison tolerance (default 1e-9)")

@@ -208,15 +208,10 @@ def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def psym_dimension(n: int) -> int:
-    """Dimension of the orthogonal complement of the trace-zero subspace: 1.
-
-    Computed exactly: the trace pairing is nondegenerate, so it is n(n+1)/2
-    minus the rank of sym0_basis(n). Each element's first nonzero packed
-    entry has a column of its own (echelon form), so the rank is their
-    number; the identity pairs to zero with each and spans the complement.
-    """
-    basis = sym0_basis(n)
-    pivots = {next(k for k, v in enumerate(b.packed) if v) for b in basis}
-    if len(pivots) != len(basis) or any(_pairings(SymMatN.identity(n))):
-        raise ArithmeticError("trace-zero basis failed its echelon or pairing check")
-    return n * (n + 1) // 2 - len(basis)
+    """Dimension of Psym, the complement of the trace-zero symmetric n x n
+    matrices under Tr(AB): 1 for every n >= 2. By the Psym theorem, Psym is
+    the scalar matrices c * I: the pairings of a with sym0_basis(n),
+    a_ii - a_(i+1)(i+1) and 2 a_ij (_pairings), all vanish exactly when a = c * I."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return 1

@@ -93,6 +93,11 @@ def test_build_requires_exactly_one_angle(capsys):
 def test_build_degrees(capsys):
     rec = run_json(capsys, "build", "1", "--theta", "90", "--degrees")
     assert abs(rec["theta"] - math.pi / 2.0) <= 1e-12
+    # 2e16 whole turns: fmod by 360 is exact, where radians() first is not.
+    code, out, _ = run(capsys, "build", "1", "--theta", "7200000000000000000", "--degrees")
+    assert (code, out.splitlines()[1]) == (0, "theta = 0")
+    code, out, err = run(capsys, "build", "1", "--theta", "inf", "--degrees")
+    assert (code, out, err) == (2, "", "error: lam and theta must be finite\n")
 
 
 # --- orbit ----------------------------------------------------------------------
@@ -351,6 +356,9 @@ def test_compose_degrees(capsys):
     pytest.importorskip("numpy")
     rec = run_json(capsys, "compose", "--alpha", "30", "--theta", "90", "--acw", "--degrees")
     assert abs(rec["gamma"] - math.radians(120.0)) <= 1e-12
+    # 1e20 degrees is 280 degrees plus whole turns, which reduce exactly.
+    code, out, _ = run(capsys, "compose", "--alpha", "1e20", "--theta", "0", "--cw", "--degrees")
+    assert code == 0 and out.endswith("verified = true\n")
 
 
 # --- psym --------------------------------------------------------------------------
