@@ -18,8 +18,8 @@ import sys
 from enum import Enum
 
 from . import _EXPORTS, _OWNER
-from .core import (Point2, Tolerance, TraceZeroSym2, _period, classify_orthogonal, decompose,
-                   matrix_from_params)
+from .core import (Point2, Tolerance, TraceZeroSym2, _period, _reduce, classify_orthogonal,
+                   decompose, matrix_from_params)
 
 
 def _bind(*modules: str) -> None:
@@ -50,6 +50,10 @@ MAX_ITERS = 1_000_000
 # against 173.7 MB for one join over all rows.
 SLICE_ROWS = 8192
 SVG_SIZE = 600  # the side of the square SVG viewport, in pixels
+# The least eps at which Tolerance.close finds some lam close to both 0 and 1
+# (1 - 1/sqrt(2) in exact terms): from there a scale class, and each verdict
+# that rests on one, would depend on which test runs first.
+MAX_TOL = 0.2928932188134525
 
 
 def _fmt(x: float) -> str:
@@ -62,6 +66,13 @@ def _rad(value: float, degrees: bool) -> float:
     # fmod by 360 is exact for every double, so whole turns vanish exactly;
     # below two turns the value goes through as given and keeps its bytes.
     return math.radians(math.fmod(value, 360.0) if 720.0 <= abs(value) < math.inf else value)
+
+
+def _tolerance(eps: float) -> Tolerance:
+    if eps >= MAX_TOL:
+        raise ValueError(
+            f"--tol must be below {MAX_TOL!r}, where the scale classes 0 and 1 overlap")
+    return Tolerance(eps)
 
 
 def _text(v) -> str:
@@ -227,7 +238,7 @@ def _rows(a) -> tuple:
 
 
 def cmd_decompose(args) -> int:
-    tz = decompose((args.entries[:2], args.entries[2:]), Tolerance(args.tol))
+    tz = decompose((args.entries[:2], args.entries[2:]), _tolerance(args.tol))
     return _emit(_params(tz, tz.rows()), args.json)
 
 
@@ -237,9 +248,12 @@ def cmd_build(args) -> int:
     if args.theta is not None:
         theta = _rad(args.theta, args.degrees)
     else:
-        theta = 2.0 * _rad(args.axis, args.degrees)
+        axis = _rad(args.axis, args.degrees)
+        # Doubling overflows from 2**1023, so there the axis is first reduced
+        # mod pi, whole periods of it; below, it keeps its bytes.
+        theta = 2.0 * (_reduce(axis, math.pi) if 2.0**1023 <= abs(axis) < math.inf else axis)
     m = TraceZeroSym2(args.lam, theta).rows()
-    return _emit(_params(decompose(m, Tolerance(args.tol)), m), args.json)
+    return _emit(_params(decompose(m, _tolerance(args.tol)), m), args.json)
 
 
 def _start(args) -> Point2:
@@ -268,7 +282,7 @@ def _orbit_map(args, tol: Tolerance) -> tuple[float, float]:
 
 def cmd_orbit(args) -> int:
     _bind("geometry", "dynamics")
-    tol = Tolerance(args.tol)
+    tol = _tolerance(args.tol)
     if not 1 <= args.iters <= MAX_ITERS:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
     lam, phi = _orbit_map(args, tol)
@@ -305,7 +319,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_classify(args) -> int:
     _bind("geometry", "dynamics")
-    tol = Tolerance(args.tol)
+    tol = _tolerance(args.tol)
     phi = _rad(args.axis, args.degrees)
     m = ReflectScale(args.lam, AxisLine(phi))
     start = _start(args)
@@ -344,7 +358,7 @@ def cmd_compose(args) -> int:
 def cmd_psym(args) -> int:
     _bind("frobenius")
     from .frobenius import psym_witness, scaled
-    tol = Tolerance(args.tol)
+    tol = _tolerance(args.tol)
     with open(args.file) as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -361,7 +375,7 @@ def cmd_psym(args) -> int:
     a = SymMatN.from_matrix([values[i:i + n] for i in range(0, n * n, n)], tol)
     if is_in_psym(a, tol):
         # s = 1 unless |a| overflows, where the diagonal's sum could too.
-        b, s, _ = scaled(a, tol)
+        b, s, _ = scaled(a)
         c = b.trace() / n / s
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     witness = sym0_basis(n)[psym_witness(a, tol)]
@@ -373,7 +387,7 @@ def cmd_psym(args) -> int:
 
 
 def cmd_ortho_classify(args) -> int:
-    o = classify_orthogonal((args.entries[:2], args.entries[2:]), Tolerance(args.tol))
+    o = classify_orthogonal((args.entries[:2], args.entries[2:]), _tolerance(args.tol))
     return _emit({"variant": o.variant, "angle": o.angle}, args.json)
 
 

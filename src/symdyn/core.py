@@ -86,13 +86,13 @@ def frozen(cls):
 class Tolerance:
     """Scale-aware comparison threshold, and the one test behind every verdict.
 
-    d is negligible beside a size when |d| <= eps * (1 + size), never when d
-    is not finite, and x is close to y when x - y is negligible beside
-    max(|x|, |y|). Scale classes, matrix preconditions and the origin test
-    use close; the line, asymptoticity and Psym tests ask that a distance or
-    pairing be negligible beside the norm. Two exceptions are deliberate:
-    decompose collapses a scale <= eps, an absolute test; frobenius.scaled puts
-    the Psym pairings in power-of-two coordinates where the norm overflows.
+    d is negligible beside a size when |d| <= eps * (scale + size), never when
+    d is not finite; scale is 1, or the power of two by which the size's
+    coordinates were scaled. x is close to y when x - y is negligible beside
+    max(|x|, |y|). Every verdict is one negligible call and no other code reads
+    eps: scale classes, matrix preconditions and the origin test use close;
+    decompose collapses a scale negligible beside 0; the line, asymptoticity
+    and Psym tests ask that a distance or pairing be negligible beside the norm.
     """
 
     eps: float = 1e-9
@@ -102,8 +102,8 @@ class Tolerance:
             raise ValueError("eps must be a positive finite real")
         object.__setattr__(self, "eps", float(self.eps))
 
-    def negligible(self, d: float, size: float) -> bool:
-        return math.isfinite(d) and abs(d) <= self.eps * (1.0 + size)
+    def negligible(self, d: float, size: float, scale: float = 1.0) -> bool:
+        return math.isfinite(d) and abs(d) <= self.eps * (scale + size)
 
     def close(self, x: float, y: float) -> bool:
         return self.negligible(x - y, max(abs(x), abs(y)))
@@ -294,8 +294,8 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     """Recover canonical (lam, theta) from a symmetric trace-zero matrix.
 
     Raises NotSymmetricError / NotTraceZeroError when the input violates a
-    precondition beyond tol. Matrices whose scale falls at or below tol.eps
-    collapse to the canonical zero element (0, 0).
+    precondition beyond tol. Matrices whose scale is negligible beside 0,
+    at or below tol.eps, collapse to the canonical zero element (0, 0).
     """
     # Python floats overflow to inf without a numpy warning, and halving
     # before subtracting, which is exact for normal entries, keeps the
@@ -309,7 +309,7 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     a = 0.5 * x - 0.5 * y
     b = 0.5 * p + 0.5 * q
     lam = math.hypot(a, b)
-    if lam <= tol.eps:
+    if tol.negligible(lam, 0.0):
         return TraceZeroSym2(0.0, 0.0)
     return TraceZeroSym2(lam, math.atan2(b, a))
 

@@ -158,20 +158,20 @@ def sym0_basis(n: int) -> list[SymMatN]:
             + [unit((k, 1.0)) for i in range(n) for k in range(d[i] + 1, d[i + 1])])
 
 
-def scaled(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> tuple[SymMatN, float, float]:
-    """(s * a, s, s * eps * (1 + |a|)) for a power of two s, |a| the Frobenius
-    norm: the pairing threshold of a in coordinates where |a| is finite.
+def scaled(a: SymMatN) -> tuple[SymMatN, float, float]:
+    """(s * a, s, |s * a|) for a power of two s, |a| the Frobenius norm: a in
+    coordinates where its norm is finite.
 
     s is 1 while |a| is finite. Otherwise s brings the largest entry into
     [0.5, 1): that is exact for every entry it leaves in the normal range, and
-    the others lie hundreds of orders of magnitude below the threshold.
+    the others lie hundreds of orders of magnitude below any pairing threshold.
     """
     norm = a.frobenius_norm()
     if math.isfinite(norm):
-        return a, 1.0, tol.eps * (1.0 + norm)
+        return a, 1.0, norm
     s = math.ldexp(1.0, -math.frexp(max(map(abs, a.packed)))[1])
     b = SymMatN(a.n, tuple(v * s for v in a.packed))
-    return b, s, tol.eps * (s + b.frobenius_norm())
+    return b, s, b.frobenius_norm()
 
 
 def _pairings(a: SymMatN) -> list[float]:
@@ -183,11 +183,11 @@ def _pairings(a: SymMatN) -> list[float]:
 
 
 def psym_witness(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> int | None:
-    """Index in sym0_basis(a.n) of the first B with |Tr(B a)| above
-    eps * (1 + |a|), |a| the Frobenius norm, or None when a is in Psym. The
-    threshold scales with |a| because the pairing does."""
-    b, _, thresh = scaled(a, tol)
-    return next((k for k, v in enumerate(_pairings(b)) if abs(v) > thresh), None)
+    """Index in sym0_basis(a.n) of the first B with Tr(B a) not negligible
+    beside |a|, the Frobenius norm, in the coordinates of scaled(a); or None
+    when a is in Psym. The threshold scales with |a| because the pairing does."""
+    b, s, norm = scaled(a)
+    return next((k for k, v in enumerate(_pairings(b)) if not tol.negligible(v, norm, s)), None)
 
 
 def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from array import array
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
@@ -98,6 +99,26 @@ def test_build_degrees(capsys):
     assert (code, out.splitlines()[1]) == (0, "theta = 0")
     code, out, err = run(capsys, "build", "1", "--theta", "inf", "--degrees")
     assert (code, out, err) == (2, "", "error: lam and theta must be finite\n")
+
+
+@pytest.mark.parametrize("axis", [1e308, -1e308, 2.0**1023, -1.7976931348623157e308])
+def test_build_huge_axis_is_reduced_before_it_is_doubled(capsys, axis):
+    # 2 * axis overflows from 2**1023, so there the axis is first reduced mod
+    # the float pi, which counts as a whole period: the matrix angle is twice
+    # the exact residue, rounded once.
+    theta = 2.0 * float(Fraction(axis) % Fraction(math.pi))
+    rec = run_json(capsys, "build", "1", "--axis", repr(axis))
+    assert rec == run_json(capsys, "build", "1", "--theta", repr(theta))
+    assert all(map(math.isfinite, rec["matrix"])) and rec["lambda"] == 1.0
+
+
+def test_build_axis_below_the_overflow_is_doubled_as_given(capsys):
+    axis = math.nextafter(2.0**1023, 0.0)
+    rec = run_json(capsys, "build", "1", "--axis", repr(axis))
+    assert rec == run_json(capsys, "build", "1", "--theta", repr(2.0 * axis))
+    for bad in ("inf", "-inf", "nan"):
+        code, out, err = run(capsys, "build", "1", f"--axis={bad}")
+        assert (code, out, err) == (2, "", "error: lam and theta must be finite\n")
 
 
 # --- orbit ----------------------------------------------------------------------
@@ -449,8 +470,7 @@ def _psym64(witness: bool) -> str:
     return f"{n}\n" + "\n".join(" ".join(map(repr, row)) for row in m) + "\n"
 
 
-# sha256 of stdout, taken with the basis search that read each pairing
-# through frobenius_inner (13 to 30 s per run on a 2-core x86 host).
+# sha256 of psym's stdout for each _psym64 matrix, in text and in JSON.
 PSYM64_DIGESTS = {
     (False, False): "d8dc7e1c8f4c8bcd7be955d5c0725cf644f12f3455f87c7d7f13b3d742a555b6",
     (False, True): "3bb932e2c77577622b16f863c1ee1e1569d341816de7633c87abf8186c1ad073",
@@ -518,6 +538,75 @@ def test_ortho_classify_reflection(capsys):
 def test_ortho_classify_rejects_non_orthogonal(capsys):
     code, _, err = run(capsys, "ortho-classify", "2", "0", "0", "2")
     assert code == 2
+
+
+# --- the --tol range -------------------------------------------------------------------
+
+
+def _largest_close_to_zero(tol):
+    # close(lam, 0) holds from 0 up to some lam below 1; bisect for its end.
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if tol.close(mid, 0.0) else (lo, mid)
+    return lo
+
+
+def _classes_overlap(eps):
+    # Some lam is close to both 0 and 1 exactly when the largest lam close to
+    # 0 is, since close(lam, 1) only gains as lam grows toward 1.
+    tol = cli.Tolerance(eps)
+    return tol.close(_largest_close_to_zero(tol), 1.0)
+
+
+def test_max_tol_is_the_first_eps_where_the_scale_classes_overlap():
+    lo, hi = 0.25, 0.3
+    assert not _classes_overlap(lo) and _classes_overlap(hi)
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (lo, mid) if _classes_overlap(mid) else (mid, hi)
+    assert (lo, hi) == (math.nextafter(cli.MAX_TOL, 0.0), cli.MAX_TOL)
+    assert hi == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-15)
+    # No lam around the crossing is close to both one ulp below the bound.
+    tol = cli.Tolerance(lo)
+    lam = _largest_close_to_zero(tol)
+    for _ in range(500):
+        lam = math.nextafter(lam, 0.0)
+    for _ in range(1000):
+        assert not (tol.close(lam, 0.0) and tol.close(lam, 1.0)), lam
+        lam = math.nextafter(lam, 1.0)
+
+
+TOL_BOUND_ERROR = ("error: --tol must be below 0.2928932188134525,"
+                   " where the scale classes 0 and 1 overlap\n")
+TOL_ARGV = {
+    "decompose": ["3", "4", "4", "-3"],
+    "build": ["5", "--theta", "0.9"],
+    "orbit": ["1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "2"],
+    "classify": ["3", "4", "--lambda", "5", "--axis", "0"],
+    "psym": ["{file}"],
+    "ortho-classify": ["0", "1", "1", "0"],
+}
+
+
+@pytest.mark.parametrize("command", TOL_ARGV)
+def test_tol_from_the_bound_up_exits_2(capsys, tmp_path, command):
+    path = _write(tmp_path, "m.txt", "2  1 0  0 1")
+    argv = [command] + [a.format(file=path) for a in TOL_ARGV[command]]
+    code, _, err = run(capsys, *argv, "--tol", repr(math.nextafter(cli.MAX_TOL, 0.0)))
+    assert (code, err) == (0, "")
+    for tol in (cli.MAX_TOL, 0.5, 10.0, 1e308, math.inf):
+        assert run(capsys, *argv, "--tol", repr(tol)) == (2, "", TOL_BOUND_ERROR)
+
+
+@pytest.mark.parametrize("argv", [
+    # Past the bound the first class that matches would answer: Finite(1) and
+    # ConvergesTo (0, 0) for a scale of 5, a Rotation for determinant -25,
+    # and lambda = 0 for a scale of 5.
+    ("classify", "3", "4", "--lambda", "5", "--axis", "0", "--tol", "1e308"),
+    ("ortho-classify", "3", "4", "4", "-3", "--tol", "10"),
+    ("decompose", "3", "4", "4", "-3", "--tol", "10"),
+])
+def test_tol_where_the_classes_overlap_is_rejected(capsys, argv):
+    assert run(capsys, *argv) == (2, "", TOL_BOUND_ERROR)
 
 
 # --- parser-level behavior ------------------------------------------------------------
@@ -1065,8 +1154,7 @@ def test_two_by_two_commands_load_no_numpy(tmp_path):
 
 
 def test_psym_dimension_loads_no_numpy():
-    # The dimension is exact: the trace-zero basis is in echelon form, and
-    # the identity pairs to zero with each of its elements.
+    # The dimension comes from the Psym theorem; no basis is built for it.
     out = _fresh("import sys, symdyn\nprint(symdyn.psym_dimension(8), 'numpy' in sys.modules)\n")
     assert out == "1 False\n"
 

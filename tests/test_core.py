@@ -105,6 +105,12 @@ def test_decompose_three_four():
 def test_decompose_snaps_tiny_scale_to_zero():
     tz = core.decompose([[1e-12, -3e-13], [-3e-13, -1e-12]])
     assert tz.lam == 0.0 and tz.theta == 0.0
+    # The collapse is negligible(lam, 0): a scale of exactly eps collapses,
+    # one ulp above it does not.
+    eps = core.DEFAULT_TOL.eps
+    assert core.decompose([[eps, 0.0], [0.0, -eps]]) == core.TraceZeroSym2(0.0, 0.0)
+    above = math.nextafter(eps, 1.0)
+    assert core.decompose([[above, 0.0], [0.0, -above]]) == core.TraceZeroSym2(above, 0.0)
 
 
 def test_decompose_rejects_asymmetric():
@@ -319,14 +325,16 @@ def test_close_is_false_when_the_difference_is_not_finite(x, y):
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-       st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=0.0))
-def test_negligible_is_the_one_inequality(eps, d, size):
+       st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=0.0),
+       st.floats(min_value=0.0))
+def test_negligible_is_the_one_inequality(eps, d, size, scale):
     t = core.Tolerance(eps)
     assert t.negligible(d, size) == (abs(d) <= eps * (1.0 + size))
+    assert t.negligible(d, size, scale) == (abs(d) <= eps * (scale + size))
     # Not finite is never negligible, even beside an infinite size.
     for bad in (math.nan, math.inf, -math.inf):
         assert not t.negligible(bad, size)
-        assert not t.negligible(bad, math.inf)
+        assert not t.negligible(bad, math.inf, scale)
 
 
 def test_array_returning_functions_return_ndarrays():
