@@ -190,7 +190,7 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     mid = SVG_SIZE / 2.0
     scale = mid / half
     reach = math.hypot(cx, cy) + 3.0 * half
-    ax, ay = reach * math.cos(axis.phi), reach * math.sin(axis.phi)
+    ax, ay = (reach * v for v in axis.direction)
     line = '  <line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" ' % (
         mid + (-ax - cx) * scale, mid - (-ay - cy) * scale,
         mid + (ax - cx) * scale, mid - (ay - cy) * scale)

@@ -158,7 +158,7 @@ def orbit(
 ) -> OrbitRecord:
     """Iterate the map max_iter times from p, recording every point in xs, ys.
 
-    Each step repeats apply_T's operations in the same order, so the points
+    Each step repeats apply_T's operations on m.axis.reflection, so the points
     are bit-identical to calling it. The cardinality is the closed form of
     classify_orbit_cardinality: the n-th power of the map is lam**n times
     the identity or the reflection, so the orbit's size follows from lam and
@@ -178,8 +178,7 @@ def orbit(
     from array import array
 
     lam, tiny, hypot, inf = m.lam, sys.float_info.min, math.hypot, math.inf
-    t = 2.0 * m.axis.phi
-    c, s = math.cos(t), math.sin(t)
+    c, s = m.axis.reflection
     x, y = p.x, p.y
     xs, ys = array("d", (x,)), array("d", (y,))
     append_x, append_y = xs.append, ys.append

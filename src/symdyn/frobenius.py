@@ -8,6 +8,7 @@ matrices. The operations here make both sides of that statement checkable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _ndarray, frozen
 
@@ -20,7 +21,8 @@ if TYPE_CHECKING:
 class SymMatN:
     """An n x n real symmetric matrix, n >= 2, stored as the packed upper triangle.
 
-    `packed` holds the n(n+1)/2 entries with i <= j in row-major order.
+    `packed` holds the n(n+1)/2 entries with i <= j in row-major order, as
+    Python floats.
     """
 
     n: int
@@ -34,6 +36,9 @@ class SymMatN:
             raise ValueError(f"packed storage needs {expected} entries, got {len(self.packed)}")
         if not all(map(math.isfinite, self.packed)):
             raise ValueError("entries must be finite")
+        # Floats are kept as they are; a float32 entry would keep its precision.
+        if not all(type(v) is float for v in self.packed):
+            object.__setattr__(self, "packed", tuple(map(float, self.packed)))
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "SymMatN":
@@ -138,24 +143,47 @@ def _diagonal(n: int) -> list[int]:
     return [i * n - i * (i - 1) // 2 for i in range(n + 1)]
 
 
-def sym0_basis(n: int) -> list[SymMatN]:
+def sym0_basis(n: int) -> Sequence[SymMatN]:
     """Integer basis of the trace-zero symmetric matrices of size n.
 
     Consecutive diagonal differences diag(..., 1, -1, ...) followed by the
-    symmetrized off-diagonal units, n(n+1)/2 - 1 matrices in total.
+    symmetrized off-diagonal units, n(n+1)/2 - 1 matrices in total. The
+    result is a read-only Sequence, not a list: it builds element k when it
+    is read, so a caller that needs one witness builds one SymMatN. A slice,
+    or the basis plus a list, is a list.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    d = _diagonal(n)
+    return _Sym0Basis(n)
 
-    def unit(*entries: tuple[int, float]) -> SymMatN:
-        packed = [0.0] * d[n]
+
+class _Sym0Basis(Sequence):
+    # sym0_basis(n) as the nonzero entries of each element; an element is
+    # built from its entries each time it is read, and never kept.
+
+    def __init__(self, n: int) -> None:
+        d = _diagonal(n)
+        self._n = n
+        self._entries = ([((d[i], 1.0), (d[i + 1], -1.0)) for i in range(n - 1)]
+                         + [((k, 1.0),) for i in range(n) for k in range(d[i] + 1, d[i + 1])])
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._unit(e) for e in self._entries[k]]
+        return self._unit(self._entries[k])
+
+    def _unit(self, entries) -> SymMatN:
+        n = self._n
+        packed = [0.0] * (n * (n + 1) // 2)
         for k, v in entries:
             packed[k] = v
         return SymMatN(n, tuple(packed))
 
-    return ([unit((d[i], 1.0), (d[i + 1], -1.0)) for i in range(n - 1)]
-            + [unit((k, 1.0)) for i in range(n) for k in range(d[i] + 1, d[i + 1])])
+    def __add__(self, other):
+        return list(self) + other if isinstance(other, list) else NotImplemented
 
 
 def scaled(a: SymMatN) -> tuple[SymMatN, float, float]:

@@ -24,14 +24,23 @@ def mod_pi(x: float) -> float:
 
 @frozen
 class AxisLine:
-    """The line through the origin at angle phi to the positive x axis."""
+    """The line through the origin at angle phi to the positive x axis.
+
+    phi is reduced to [0, pi). Two attributes are computed once from it:
+    direction = (cos phi, sin phi), the unit vector along the line, and
+    reflection = (cos 2phi, sin 2phi), the first row of the reflection across
+    the line, [[c, s], [s, -c]]. They are not fields: ==, hash and repr see phi.
+    """
 
     phi: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", mod_pi(self.phi))
+        phi = mod_pi(self.phi)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "direction", (math.cos(phi), math.sin(phi)))
+        object.__setattr__(self, "reflection", (math.cos(2.0 * phi), math.sin(2.0 * phi)))
 
 
 @frozen
@@ -51,8 +60,7 @@ class ReflectScale:
         object.__setattr__(self, "lam", float(self.lam))
 
     def matrix(self) -> np.ndarray:
-        t, lam = 2.0 * self.axis.phi, self.lam
-        c, s = math.cos(t), math.sin(t)
+        (c, s), lam = self.axis.reflection, self.lam
         return _ndarray(((lam * c, lam * s), (lam * s, lam * -c)))
 
 
@@ -62,8 +70,7 @@ def reflect_point(p: Point2, axis: AxisLine) -> Point2:
     An involution that preserves the Euclidean norm; exactly the points on
     the axis are fixed.
     """
-    t = 2.0 * axis.phi
-    c, s = math.cos(t), math.sin(t)
+    c, s = axis.reflection
     return Point2(p.x * c + p.y * s, p.x * s - p.y * c)
 
 
@@ -86,14 +93,14 @@ def _in_range(*points: Point2) -> tuple[Point2, ...]:
 
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Scale-aware perpendicular-distance test for p lying on the axis line."""
-    [p] = _in_range(p)
-    return tol.negligible(p.x * math.sin(axis.phi) - p.y * math.cos(axis.phi), p.norm())
+    [p], (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * s - p.y * c, p.norm())
 
 
 def point_on_perpendicular(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test for p lying on the line through the origin orthogonal to axis."""
-    [p] = _in_range(p)
-    return tol.negligible(p.x * math.cos(axis.phi) + p.y * math.sin(axis.phi), p.norm())
+    [p], (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * c + p.y * s, p.norm())
 
 
 def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:

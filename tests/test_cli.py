@@ -489,11 +489,22 @@ def test_psym_n64_bytes_and_time(capsys, tmp_path, witness, as_json):
     elapsed = time.perf_counter() - start
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PSYM64_DIGESTS[witness, as_json]
-    # About 0.35 s for the near-scalar input on a 2-core x86 host.
+    # About 10 ms for the near-scalar input on a 2-core x86 host.
     assert elapsed < 3.0
     if not witness:  # c is the diagonal's mean summed in numpy's pairwise order
         left_to_right = sum(float(t) for t in text.split()[1::65]) / 64
         assert f"{left_to_right:.17g}" not in out and repr(left_to_right) not in out
+
+
+def test_psym_n64_builds_only_its_witness(capsys, tmp_path, monkeypatch):
+    # The near-scalar witness is the last basis element; psym builds it alone,
+    # not the 2,079 elements before it.
+    from symdyn.frobenius import SymMatN
+    built, post_init = [], SymMatN.__post_init__
+    monkeypatch.setattr(SymMatN, "__post_init__", lambda self: built.append(1) or post_init(self))
+    code, _, err = run(capsys, "psym", _write(tmp_path, "m.txt", _psym64(True)))
+    assert (code, err) == (0, "")
+    assert 0 < len(built) < 10
 
 
 def test_psym_entries_near_the_float_limit(capsys, tmp_path):

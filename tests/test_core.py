@@ -11,7 +11,7 @@ import oracles
 from symdyn import core
 from symdyn.dynamics import (ConvergenceVerdict, ConvergesTo, DivergesToInfinity, Finite,
                              Infinite, NotConvergent, OrbitRecord, Topology, orbit, power_T)
-from symdyn.frobenius import SymMatN
+from symdyn.frobenius import SymMatN, frobenius_inner
 from symdyn.geometry import AxisLine, Direction, ReflectScale, apply_T, mod_pi, rotation_matrix
 
 TAU = 2.0 * math.pi
@@ -484,3 +484,8 @@ def test_scalar_fields_are_stored_as_python_floats():
     assert [type(v) for v in (image.x, image.y)] == [float] * 2
     want = apply_T(half, exact)
     assert array("d", (image.x, image.y)).tobytes() == array("d", (want.x, want.y)).tobytes()
+    # A float32 entry would make the pairing a float32 rounded to float32.
+    a = SymMatN(2, tuple(map(np.float32, (0.1, 0.2, 0.3))))
+    assert [type(v) for v in a.packed] == [float] * 3
+    inner = frobenius_inner(a, a)
+    assert type(inner) is float and inner == 0.18000000983476655

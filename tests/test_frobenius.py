@@ -1,3 +1,4 @@
+import collections.abc
 import math
 import random
 import struct
@@ -194,6 +195,39 @@ def test_basis_is_linearly_independent():
     for n in (2, 3, 4):
         rows = np.array([b.to_matrix().ravel() for b in frobenius.sym0_basis(n)])
         assert np.linalg.matrix_rank(rows) == n * (n + 1) // 2 - 1
+
+
+def _basis_in_order(n: int) -> list[tuple[float, ...]]:
+    # The packed entries of the documented basis, built from (i, j) pairs:
+    # the diagonal differences, then the off-diagonal units row by row.
+    def unit(entries):
+        return tuple(entries.get((i, j), 0.0) for i in range(n) for j in range(i, n))
+
+    return ([unit({(i, i): 1.0, (i + 1, i + 1): -1.0}) for i in range(n - 1)]
+            + [unit({(i, j): 1.0}) for i in range(n) for j in range(i + 1, n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_basis_is_a_read_only_sequence_built_on_read(n):
+    basis, want = frobenius.sym0_basis(n), _basis_in_order(n)
+    assert isinstance(basis, collections.abc.Sequence) and not isinstance(basis, list)
+    assert len(basis) == len(want)
+    assert [b.packed for b in basis] == want
+    assert [basis[k].packed for k in range(-len(want), len(want))] == want + want
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            basis[k]
+    for part in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, 10**6),
+                 slice(5, 2)):
+        got = basis[part]
+        assert type(got) is list and [b.packed for b in got] == want[part]
+    both = basis + [SymMatN.identity(n)]
+    assert type(both) is list and [b.packed for b in both] == want + [SymMatN.identity(n).packed]
+    assert basis[0] == basis[0] and basis[0] is not basis[0]
+    with pytest.raises(TypeError):
+        basis[0] = SymMatN.identity(n)
+    with pytest.raises(TypeError):
+        basis[1.0]
 
 
 def test_basis_rejects_small_n():

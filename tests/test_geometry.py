@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import core, geometry
-from symdyn.cli import _fma
+from symdyn.cli import _fma, orbit_svg
 from symdyn.core import Point2
+from symdyn.dynamics import orbit
 from symdyn.geometry import AxisLine, Direction, ReflectScale
 
 TAU = 2.0 * math.pi
@@ -220,6 +222,39 @@ def test_axis_reduces_mod_pi():
     for x in (-0.0, -math.pi):
         assert math.copysign(1.0, geometry.mod_pi(x)) == 1.0
         assert math.copysign(1.0, AxisLine(x).phi) == 1.0
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, math.pi, -1e-17, 4.0, 1e17])
+def test_axis_direction_and_reflection_are_taken_from_the_reduced_angle(x):
+    axis, phi = AxisLine(x), geometry.mod_pi(x)
+    assert struct.pack("<2d", *axis.direction) == struct.pack("<2d", math.cos(phi), math.sin(phi))
+    assert (struct.pack("<2d", *axis.reflection)
+            == struct.pack("<2d", math.cos(2.0 * phi), math.sin(2.0 * phi)))
+    # Attributes, not fields: equality, hash, repr and matching see phi alone.
+    assert AxisLine.__match_args__ == ("phi",)
+    assert axis == AxisLine(phi) and hash(axis) == hash(AxisLine(phi))
+    assert repr(axis) == f"AxisLine(phi={phi!r})"
+    with pytest.raises(AttributeError):
+        axis.direction = (1.0, 0.0)
+
+
+def test_every_axis_consumer_reads_the_axis_attributes():
+    # An axis at 0.3 that carries the attributes of one at 1.1 acts as the
+    # latter everywhere: no consumer takes the cosine or sine of phi itself.
+    real, fake = AxisLine(1.1), AxisLine(0.3)
+    object.__setattr__(fake, "direction", real.direction)
+    object.__setattr__(fake, "reflection", real.reflection)
+    (c, s), p = real.direction, Point2(2.0, -1.0)
+
+    def uses(axis):
+        rec = orbit(p, ReflectScale(0.5, axis), 3)
+        return (geometry.reflect_point(p, axis), ReflectScale(2.0, axis).matrix().tolist(),
+                rec.xs.tolist(), rec.ys.tolist(), orbit_svg(rec.xs, rec.ys, axis),
+                geometry.point_on_line(Point2(3.0 * c, 3.0 * s), axis),
+                geometry.point_on_perpendicular(Point2(-3.0 * s, 3.0 * c), axis))
+
+    assert uses(fake) == uses(real)
+    assert uses(fake)[-2:] == (True, True)
 
 
 def test_axis_and_opposite_axis_reflect_alike():
