@@ -393,11 +393,12 @@ def cmd_ortho_classify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a negative number in exponent form, such as -2e-05, as a value,
-    not as an option, as Python 3.12 and later do; its subparsers inherit it."""
+    not as an option, as Python 3.12 and later do, and -inf, -nan and -Infinity
+    in any case, which the value types reject; its subparsers inherit it."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

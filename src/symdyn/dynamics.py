@@ -249,8 +249,8 @@ def is_forward_asymptotic(
     """
     if abs(lam) < 1.0:
         return True
-    p, q = _in_range(p, q)
-    return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()))
+    scale, (p, q) = _in_range(p, q)
+    return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()), scale)
 
 
 def stable_set(p: Point2, lam: float) -> StableSet:

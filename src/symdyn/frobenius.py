@@ -218,21 +218,14 @@ def psym_witness(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> int | None:
     return next((k for k, v in enumerate(_pairings(b)) if not tol.negligible(v, norm, s)), None)
 
 
-def is_scalar_matrix(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a equals c * I within tol, for some real c.
-
-    By the theorem, the scalar matrices are exactly Psym, so this is
-    is_in_psym: the pairings with the trace-zero basis are the differences
-    of consecutive diagonal entries and the sums a_ij + a_ji, and each must
-    lie within eps * (1 + |a|), |a| the Frobenius norm.
-    """
-    return is_in_psym(a, tol)
-
-
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether Tr(B a) vanishes for every trace-zero symmetric B: by
     bilinearity, whether psym_witness finds no basis element that pairs."""
     return psym_witness(a, tol) is None
+
+
+# The Psym theorem: Psym is exactly the scalar matrices c * I.
+is_scalar_matrix = is_in_psym
 
 
 def psym_dimension(n: int) -> int:

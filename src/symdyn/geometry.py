@@ -80,27 +80,31 @@ def apply_T(m: ReflectScale, p: Point2) -> Point2:
     return Point2(m.lam * r.x, m.lam * r.y)
 
 
-def _in_range(*points: Point2) -> tuple[Point2, ...]:
-    # The points, or each divided by 4 where a norm overflows though every
-    # coordinate is finite: both its coordinates then exceed 1e300, where
-    # that division is exact, and a bound eps * (1 + |p|) is finite again.
-    if not math.isinf(max(p.norm() for p in points)):
-        return points
-    if not all(math.isfinite(c) for p in points for c in (p.x, p.y)):
-        return points
-    return tuple(Point2(p.x / 4.0, p.y / 4.0) for p in points)
+def _in_range(*points: Point2) -> tuple[float, tuple[Point2, ...]]:
+    # (s, the points times s): s = 1, or 1/4 where a norm overflows though
+    # every coordinate is finite: both its coordinates then exceed 1e300,
+    # where that division is exact, and a bound eps * (s + |p|) is finite again.
+    if (math.isinf(max(p.norm() for p in points))
+            and all(math.isfinite(c) for p in points for c in (p.x, p.y))):
+        return 0.25, tuple(Point2(p.x / 4.0, p.y / 4.0) for p in points)
+    return 1.0, points
 
 
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Scale-aware perpendicular-distance test for p lying on the axis line."""
-    [p], (c, s) = _in_range(p), axis.direction
-    return tol.negligible(p.x * s - p.y * c, p.norm())
+    (scale, [p]), (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * s - p.y * c, p.norm(), scale)
 
 
 def point_on_perpendicular(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test for p lying on the line through the origin orthogonal to axis."""
-    [p], (c, s) = _in_range(p), axis.direction
-    return tol.negligible(p.x * c + p.y * s, p.norm())
+    (scale, [p]), (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * c + p.y * s, p.norm(), scale)
+
+
+def _clockwise(alpha: float, direction: Direction) -> float:
+    # The clockwise angle of a rotation: anticlockwise by alpha is clockwise by -alpha.
+    return alpha if direction is Direction.CLOCKWISE else -alpha
 
 
 def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:
@@ -111,8 +115,7 @@ def rotation_matrix(alpha: float, direction: Direction) -> np.ndarray:
     """
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if direction is Direction.ANTICLOCKWISE:
-        alpha = -alpha
+    alpha = _clockwise(alpha, direction)
     c, s = math.cos(alpha), math.sin(alpha)
     return _ndarray(((c, s), (-s, c)))
 
@@ -128,6 +131,4 @@ def compose_rotation_reflection(alpha: float, theta_mat: float, direction: Direc
     """
     if not (math.isfinite(alpha) and math.isfinite(theta_mat)):
         raise ValueError("angles must be finite")
-    if direction is Direction.CLOCKWISE:
-        return mod_2pi(theta_mat - alpha)
-    return mod_2pi(theta_mat + alpha)
+    return mod_2pi(theta_mat - _clockwise(alpha, direction))

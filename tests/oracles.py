@@ -66,11 +66,16 @@ def fused_mat_mul(a, b):
     return [[fused(a[i][1], b[1][j], a[i][0] * b[0][j]) for j in (0, 1)] for i in (0, 1)]
 
 
-def is_scalar(rows) -> bool:
-    """Whether a square matrix, given by its rows, is c * I: every diagonal
-    entry equal and every off-diagonal entry zero. Exact on integers."""
-    return all(x == (rows[0][0] if i == j else 0)
-               for i, row in enumerate(rows) for j, x in enumerate(row))
+def is_scalar(rows, eps: float = 0.0) -> bool:
+    """Whether a square matrix, given by its rows, is c * I within eps: its
+    distance to the nearest such matrix, c = Tr(A) / n, is at most
+    eps * (1 + |A|), both in the Frobenius norm. With eps = 0, exact on
+    integers: every diagonal entry equal and every off-diagonal entry zero."""
+    n = len(rows)
+    c = sum(rows[i][i] for i in range(n)) / n
+    off = math.sqrt(sum((x - (c if i == j else 0.0)) ** 2
+                        for i, row in enumerate(rows) for j, x in enumerate(row)))
+    return off <= eps * (1.0 + math.sqrt(sum(x * x for row in rows for x in row)))
 
 
 def mat_vec(a, v):

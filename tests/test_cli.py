@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -813,10 +815,15 @@ def test_negative_numbers_in_exponent_form_are_values(capsys, argv):
     assert out
 
 
-def test_negative_infinity_is_still_not_a_value(capsys):
-    code, _, err = run(capsys, "build", "2", "--theta", "-inf")
-    assert code == 2
-    assert "expected one argument" in err
+def test_negative_non_finite_tokens_are_values(capsys):
+    # -inf, -nan and -Infinity as tokens of their own reach float and then
+    # the value type, which rejects them with its own line, as --theta=-inf does.
+    for token in ("-inf", "-nan", "-Infinity"):
+        for argv, line in [(("build", "2", "--theta", token), "lam and theta must be finite"),
+                           (("build", "2", "--axis", token), "lam and theta must be finite"),
+                           (("classify", "1", "1", "--lambda", token, "--axis", "0.3"),
+                            "lam must be finite")]:
+            assert run(capsys, *argv) == (2, "", f"error: {line}\n"), argv
 
 
 def test_decompose_output_round_trips_in_exponent_form(capsys, tmp_path):
@@ -850,6 +857,108 @@ def test_orbit_svg_has_only_finite_coordinates(capsys, tmp_path, argv):
     (line,) = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}line")
     for at in ("x1", "y1", "x2", "y2"):
         assert abs(float(line.get(at))) <= 10 * cli.SVG_SIZE, (at, line.get(at))
+
+
+# Tokens at the ends of the float range; -inf, -nan and -Infinity are tokens
+# of their own, which cli._Parser reads as values.
+EDGE_TOKENS = ("0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+               "1.7976931348623157e308", "-1.7976931348623157e308",
+               "inf", "-inf", "nan", "-nan", "-Infinity")
+
+
+def _any_float(rng: random.Random) -> str:
+    # An edge token, a value of ordinary size, or a double drawn by its 64
+    # bits, so that every exponent, the subnormal ones included, is as likely.
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice(EDGE_TOKENS)
+    if r < 0.5:
+        return repr(rng.uniform(-4.0, 4.0))
+    return repr(array("d", rng.randbytes(8))[0])
+
+
+def _negated(token: str) -> str:
+    return token[1:] if token.startswith("-") else "-" + token
+
+
+def _whole_range_argv(rng: random.Random, commands, tmp_path) -> list[str]:
+    f, command = (lambda: _any_float(rng)), rng.choice(commands)
+    a, b = f(), f()
+    trace_zero = [a, b, b, _negated(a)]
+    if command == "decompose":
+        argv = trace_zero if rng.random() < 0.5 else [f() for _ in range(4)]
+    elif command == "ortho-classify":
+        t = rng.uniform(-7.0, 7.0)
+        c, s = repr(math.cos(t)), repr(math.sin(t))
+        argv = rng.choice([[c, s, _negated(s), c], [c, s, s, _negated(c)], [f() for _ in range(4)]])
+    elif command == "build":
+        argv = [f(), *rng.choice([["--theta", f()], ["--axis", f()], ["--theta", a, "--axis", b]])]
+    elif command == "orbit":
+        argv = [f(), f(), *(["--from-matrix", *trace_zero] if rng.random() < 0.3
+                            else ["--lambda", f(), "--axis", f()])]
+        argv += ["--iters", rng.choice(["1", "2", "7", "64", "200", "0", "1000001"])]
+        if rng.random() < 0.4:
+            argv += ["--out", str(tmp_path / rng.choice(["o.csv", "o.csv", "no/o.csv"]))]
+        if rng.random() < 0.4:
+            argv += ["--svg", str(tmp_path / "o.svg")]
+    elif command == "classify":
+        argv = [f(), f(), "--lambda", f(), "--axis", f()]
+    elif command == "compose":
+        argv = ["--alpha", f(), "--theta", f(), rng.choice(["--cw", "--acw"])]
+    else:  # psym: a symmetric, scalar or arbitrary matrix file, or none
+        n, shape = rng.choice([2, 3, 4]), rng.random()
+        rows = [[f() for _ in range(n)] for _ in range(n)]
+        if shape < 0.3:
+            rows = [[a if i == j else "0" for j in range(n)] for i in range(n)]
+        elif shape < 0.7:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        path = tmp_path / "m.txt"
+        path.write_text(f"{n}\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+        argv = [str(path if rng.random() < 0.95 else tmp_path / "missing.txt")]
+    if command in ("build", "orbit", "classify", "compose") and rng.random() < 0.3:
+        argv.append("--degrees")
+    if command != "compose" and rng.random() < 0.2:
+        argv += ["--tol", rng.choice(["1e-12", "0.1", f()])]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return [command, *argv]
+
+
+def test_whole_float_range_gives_an_answer_or_exit_2(capsys, tmp_path):
+    # Inputs from every part of the float range, on every command: each run
+    # exits 0, 2 or 3, and what it writes holds no NaN or infinity, in JSON,
+    # SVG or a text record. compose's verified is not asserted: its residual
+    # grows with |alpha| (ROADMAP item 15).
+    def reject(constant):
+        raise AssertionError(f"JSON holds {constant}")
+
+    commands = ["decompose", "build", "orbit", "classify", "psym", "ortho-classify"]
+    if importlib.util.find_spec("numpy") is not None:
+        commands.append("compose")
+    rng, svg, codes = random.Random(2024), tmp_path / "o.svg", set()
+    for _ in range(1500):
+        argv = _whole_range_argv(rng, commands, tmp_path)
+        svg.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        codes.add((argv[0], code))
+        assert code in (0, 2, 3), (argv, code, err)
+        if code == 2:
+            assert err.startswith(("error:", "usage:")), (argv, err)
+        if code:
+            continue
+        if "--json" in argv:
+            json.loads(out, parse_constant=reject)
+        elif argv[0] != "orbit" or "--out" in argv:
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), (argv, out)
+        if svg.exists():
+            text = svg.read_text().lower()
+            assert "nan" not in text and "inf" not in text, argv
+    # every command both answered and refused some input
+    assert codes >= {(c, k) for c in commands for k in (0, 2)}, sorted(codes)
 
 
 # sha256 of the --out CSV and --svg files; the goldens cover only short orbits

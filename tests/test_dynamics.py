@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symdyn import dynamics
-from symdyn.core import DEFAULT_TOL, ORIGIN, Point2
+from symdyn.core import DEFAULT_TOL, ORIGIN, Point2, Tolerance
 from symdyn.dynamics import (
     ConvergesTo,
     DivergesToInfinity,
@@ -561,6 +561,19 @@ def test_unit_scale_keeps_distinct_points_apart():
     # The distance and the bound eps * (1 + |p|) both overflow to inf here.
     assert not dynamics.is_forward_asymptotic(Point2(1.5e308, 1.5e308),
                                               Point2(-1.5e308, 1e308), 1.0)
+
+
+def test_points_taken_in_range_pass_on_their_scale(monkeypatch):
+    # Where a norm overflows, the coordinates are divided by 4, and the bound
+    # is eps * (1/4 + |p / 4|); finite norms keep the scale 1.
+    scales, negligible = [], Tolerance.negligible
+    monkeypatch.setattr(Tolerance, "negligible", lambda self, d, size, scale=1.0: (
+        scales.append(scale) or negligible(self, d, size, scale)))
+    axis = AxisLine(math.pi / 4.0)
+    for p in (Point2(1.5e308, 1.5e308), Point2(1.0, 1.0)):
+        assert point_on_line(p, axis) and not point_on_perpendicular(p, axis)
+        assert dynamics.is_forward_asymptotic(p, p, 1.0)
+    assert scales == [0.25] * 3 + [1.0] * 3
 
 
 _ON_AXIS = ReflectScale(1.0, AxisLine(0.5))

@@ -283,6 +283,11 @@ def test_scalar_matrix_examples():
     assert frobenius.is_scalar_matrix(SymMatN.from_matrix(nudged))
 
 
+def test_the_scalar_test_is_the_psym_test():
+    # The Psym theorem as an identity: one function decides both.
+    assert frobenius.is_scalar_matrix is frobenius.is_in_psym
+
+
 # --- is_in_psym -----------------------------------------------------------------------
 
 

@@ -151,6 +151,20 @@ def test_rotation_has_det_one(alpha, direction):
     assert abs(det - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 5e-324, 0.3, -2.5, 1e4, -1e300])
+def test_anticlockwise_is_clockwise_at_minus_alpha(alpha):
+    # rotation_matrix and compose take one rotation sense: anticlockwise by
+    # alpha is clockwise by -alpha, bit for bit; compose still gives the
+    # reduced theta + alpha.
+    acw, cw = Direction.ANTICLOCKWISE, Direction.CLOCKWISE
+    assert (geometry.rotation_matrix(alpha, acw).tobytes()
+            == geometry.rotation_matrix(-alpha, cw).tobytes())
+    for theta in (0.0, -0.0, 1.2, 1e17):
+        g = geometry.compose_rotation_reflection(alpha, theta, acw)
+        assert g.hex() == geometry.compose_rotation_reflection(-alpha, theta, cw).hex()
+        assert g.hex() == core.mod_2pi(theta + alpha).hex()
+
+
 # --- compose_rotation_reflection ---------------------------------------------
 
 
