@@ -167,12 +167,15 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
 
     The viewport is fixed at SVG_SIZE x SVG_SIZE and scaled to the bounding
     box of the finite points with 10 percent padding; they are joined in
-    iteration order, and points that overflowed are left out.
+    iteration order, and points that overflowed are left out. A trace with
+    no finite point raises ValueError.
     """
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
         xs, ys = ([x for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)],
                   [y for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)])
+    if not xs:
+        raise ValueError("no point of the orbit trace is finite")
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     # Near either end of the float range the box would overflow or
     # underflow, so there the coordinates are scaled by 2**-k, which is exact.
@@ -325,7 +328,7 @@ def cmd_classify(args) -> int:
     start = _start(args)
     record = {"start": start, "lambda": args.lam, "axis": phi,
               "cardinality": classify_orbit_cardinality(start, m, tol),
-              "stable_set": stable_set(start, args.lam),
+              "stable_set": stable_set(start, args.lam, tol),
               "convergence": _convergence(start, m, tol)}
     return _emit(record, args.json, ("start", "lambda", "axis"))
 

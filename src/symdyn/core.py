@@ -90,7 +90,8 @@ class Tolerance:
     d is not finite; scale is 1, or the power of two by which the size's
     coordinates were scaled. x is close to y when x - y is negligible beside
     max(|x|, |y|). Every verdict is one negligible call and no other code reads
-    eps: scale classes, matrix preconditions and the origin test use close;
+    eps: the scale class of lam behind the orbit, power, convergence and
+    stable-set verdicts, matrix preconditions and the origin test use close;
     decompose collapses a scale negligible beside 0; the line, asymptoticity
     and Psym tests ask that a distance or pairing be negligible beside the norm.
     """

@@ -102,6 +102,11 @@ def _scales(lam: float, *steps: int) -> list[float]:
     return [lam ** n for n in steps]
 
 
+def _scale_class(lam: float, tol: Tolerance) -> float:
+    # 0, 1 or -1 where lam is close to it, tried in that order; lam otherwise.
+    return next((c for c in (0.0, 1.0, -1.0) if tol.close(lam, c)), lam)
+
+
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
     """n-th power of the map as a matrix, in closed form.
 
@@ -122,7 +127,7 @@ def is_power_identity(lam: float, n: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return n % 2 == 0 and (tol.close(lam, 1.0) or tol.close(lam, -1.0))
+    return n % 2 == 0 and abs(_scale_class(lam, tol)) == 1.0
 
 
 def classify_orbit_cardinality(
@@ -139,12 +144,12 @@ def classify_orbit_cardinality(
     """
     if tol.close(p.norm(), 0.0):
         return Finite(1)
-    lam = m.lam
-    if tol.close(lam, 0.0):
+    lam = _scale_class(m.lam, tol)
+    if lam == 0.0:
         return Finite(2)
-    if tol.close(lam, 1.0):
+    if lam == 1.0:
         return Finite(1) if point_on_line(p, m.axis, tol) else Finite(2)
-    if tol.close(lam, -1.0):
+    if lam == -1.0:
         return Finite(1) if point_on_perpendicular(p, m.axis, tol) else Finite(2)
     return Infinite()
 
@@ -214,7 +219,7 @@ def classify_convergence(
     origin and |lam| > 1 blows it up. Comparisons are within tol.
     """
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
-    if tol.close(p.norm(), 0.0) or tol.close(m.lam, 0.0):
+    if tol.close(p.norm(), 0.0) or _scale_class(m.lam, tol) == 0.0:
         verdict = ConvergesTo(ORIGIN)
     else:
         cardinality = classify_orbit_cardinality(p, m, tol)
@@ -222,7 +227,7 @@ def classify_convergence(
             verdict = ConvergesTo(p)
         elif cardinality == Finite(2) or topology is Topology.DISCRETE:
             verdict = NotConvergent()
-        elif abs(m.lam) < 1.0:
+        elif stable_set(p, m.lam, tol) is StableSet.WHOLE_PLANE:
             verdict = ConvergesTo(ORIGIN)
         else:
             verdict = DivergesToInfinity()
@@ -245,20 +250,21 @@ def is_forward_asymptotic(
     """Whether the iterates of p and q approach each other.
 
     The distance after n steps is |lam|**n * d(p, q), so this holds exactly
-    when |lam| < 1 or the points coincide within tol.
+    when p's stable_set is the whole plane or the points coincide within tol.
     """
-    if abs(lam) < 1.0:
+    if stable_set(p, lam, tol) is StableSet.WHOLE_PLANE:
         return True
     scale, (p, q) = _in_range(p, q)
     return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()), scale)
 
 
-def stable_set(p: Point2, lam: float) -> StableSet:
+def stable_set(p: Point2, lam: float, tol: Tolerance = DEFAULT_TOL) -> StableSet:
     """Which points are forward asymptotic to p: the whole plane or only p.
 
-    Decided by |lam| alone, independent of p and of the reflection axis.
+    The whole plane exactly when lam is 0, or |lam| < 1 and lam is not 1 or
+    -1, within tol; independent of p and of the reflection axis.
     """
-    return StableSet.WHOLE_PLANE if abs(lam) < 1.0 else StableSet.SINGLETON_SELF
+    return StableSet.WHOLE_PLANE if abs(_scale_class(lam, tol)) < 1.0 else StableSet.SINGLETON_SELF
 
 
 def cauchy_bound(p: Point2, lam: float, n: int, m: int) -> float:

@@ -287,6 +287,11 @@ def test_orbit_svg_degenerate_bbox(capsys, tmp_path):
     assert code == 0
     assert "<polyline" in svg.read_text()
     _assert_svg_marks_each_point(svg, csv)
+    # With no finite point the box is empty. The CLI rejects such a start,
+    # but the library takes any Point2.
+    rec = cli.orbit(cli.Point2(math.inf, 0.0), cli.ReflectScale(1.0, cli.AxisLine(0.3)), 3)
+    with pytest.raises(ValueError, match="no point of the orbit trace is finite"):
+        cli.orbit_svg(rec.xs, rec.ys, rec.map.axis)
 
 
 # --- classify --------------------------------------------------------------------
@@ -317,6 +322,23 @@ def test_classify_origin(capsys):
 def test_classify_degrees(capsys):
     rec = run_json(capsys, "classify", "2", "2", "--lambda", "1", "--axis", "45", "--degrees")
     assert rec["convergence"]["Discrete"] == {"kind": "ConvergesTo", "limit": [2.0, 2.0]}
+
+
+# (3, 4) lies on neither the axis 0.3 nor its perpendicular, even at tol 0.2.
+@pytest.mark.parametrize("lam,tol", [
+    ("0.7", "0.2"), ("0.9999999999", None), ("-0.9999999999", None), ("1.0000000001", None),
+    ("1e-10", None), ("0.5", None), ("2", None), ("0.9999999999", "1e-12")])
+def test_classify_stable_set_is_whole_exactly_when_usual_converges_to_origin(capsys, lam, tol):
+    argv = ("classify", "3", "4", "--axis", "0.3", "--lambda", lam, *(("--tol", tol) if tol else ()))
+    rec = run_json(capsys, *argv)
+    assert (rec["stable_set"] == "WholePlane") == (
+        rec["convergence"]["Usual"] == {"kind": "ConvergesTo", "limit": [0.0, 0.0]})
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert f"stable_set = {rec['stable_set']}" in lines
+    assert ("stable_set = WholePlane" in lines) == (
+        "convergence[Usual] = ConvergesTo (0, 0)" in lines)
 
 
 # --- compose ----------------------------------------------------------------------

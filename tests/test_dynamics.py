@@ -110,6 +110,8 @@ def test_power_identity_examples():
     assert dynamics.is_power_identity(-1.0, 2)
     with pytest.raises(ValueError):
         dynamics.is_power_identity(1.0, 0)
+    # At eps = 0.5, 0.5 is close to both 0 and 1; the first class, 0, is taken.
+    assert not dynamics.is_power_identity(0.5, 2, Tolerance(0.5))
 
 
 def test_power_identity_matches_closed_form_matrix():
@@ -565,10 +567,12 @@ def test_unit_scale_keeps_distinct_points_apart():
 
 def test_points_taken_in_range_pass_on_their_scale(monkeypatch):
     # Where a norm overflows, the coordinates are divided by 4, and the bound
-    # is eps * (1/4 + |p / 4|); finite norms keep the scale 1.
+    # is eps * (1/4 + |p / 4|); finite norms keep the scale 1. Only the calls
+    # on a point's norm are kept: the scale class of lam = 1 makes calls of
+    # size 1, and both points have norms above 1.
     scales, negligible = [], Tolerance.negligible
     monkeypatch.setattr(Tolerance, "negligible", lambda self, d, size, scale=1.0: (
-        scales.append(scale) or negligible(self, d, size, scale)))
+        size > 1.0 and scales.append(scale)) or negligible(self, d, size, scale))
     axis = AxisLine(math.pi / 4.0)
     for p in (Point2(1.5e308, 1.5e308), Point2(1.0, 1.0)):
         assert point_on_line(p, axis) and not point_on_perpendicular(p, axis)
@@ -600,6 +604,25 @@ def test_stable_set_dichotomy_examples():
     assert dynamics.stable_set(Point2(9.0, -2.0), 0.3) is StableSet.WHOLE_PLANE
     assert dynamics.stable_set(Point2(9.0, -2.0), 1.0) is StableSet.SINGLETON_SELF
     assert dynamics.stable_set(Point2(9.0, -2.0), -1.5) is StableSet.SINGLETON_SELF
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((0.0, 1.0, -1.0)), st.sampled_from((1.0, -1.0)),
+       st.floats(min_value=-13.0, max_value=-0.5), st.floats(min_value=-12.0, max_value=-0.7))
+@example(1.0, -1.0, -10.0, -9.0)  # 0.9999999999 at the default eps
+@example(1.0, -1.0, -0.5, -0.7)  # 0.68 at eps 0.2
+@example(0.0, 1.0, math.log10(0.5), math.log10(0.5))  # 0.5 where the classes 0 and 1 overlap
+def test_scale_classes_decide_stable_set_convergence_and_asymptoticity(
+        centre, side, log_offset, log_eps):
+    # lam near 0, 1 or -1 on either side, inside or outside the band of eps;
+    # p lies on neither the axis nor its perpendicular, and q is far from p.
+    lam, tol = centre + side * 10.0 ** log_offset, Tolerance(10.0 ** log_eps)
+    p, q = Point2(3.0, 4.0), Point2(-30.0, -40.0)
+    whole = dynamics.stable_set(p, lam, tol) is StableSet.WHOLE_PLANE
+    usual = dynamics.classify_convergence(p, _mk(lam, 0.3), Topology.USUAL, tol).verdict
+    asymptotic = dynamics.is_forward_asymptotic(p, q, lam, tol)
+    assert whole == (usual == ConvergesTo(ORIGIN)) == asymptotic
+    assert not (dynamics.is_power_identity(lam, 2, tol) and whole)
 
 
 @settings(max_examples=100)
