@@ -176,14 +176,24 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
                   [y for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)])
     if not xs:
         raise ValueError("no point of the orbit trace is finite")
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    slices = [(lo, min(lo + SLICE_ROWS, len(xs))) for lo in range(0, len(xs), SLICE_ROWS)]
+    slices = [(lo, hi, _period(xs, ys, lo, hi)) for lo, hi in slices]
+    # A slice with a period p repeats its first p points bit for bit, and
+    # min and max keep the first extreme, so those points give its extremes.
+    heads = [(lo, lo + p if p else hi) for lo, hi, p in slices]
+
+    def box(xs, ys) -> tuple[float, float, float, float]:
+        return (min(min(xs[a:b]) for a, b in heads), max(max(xs[a:b]) for a, b in heads),
+                min(min(ys[a:b]) for a, b in heads), max(max(ys[a:b]) for a, b in heads))
+
+    x_lo, x_hi, y_lo, y_hi = box(xs, ys)
     # Near either end of the float range the box would overflow or
     # underflow, so there the coordinates are scaled by 2**-k, which is exact.
     k = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
     if not -512 < k < 512:
         xs = [math.ldexp(x, -k) for x in xs]
         ys = [math.ldexp(y, -k) for y in ys]
-        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        x_lo, x_hi, y_lo, y_hi = box(xs, ys)
     cx = 0.5 * (x_lo + x_hi)
     cy = 0.5 * (y_lo + y_hi)
     # A box of one point takes the point's larger coordinate magnitude as
@@ -198,9 +208,8 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         mid + (-ax - cx) * scale, mid - (-ay - cy) * scale,
         mid + (ax - cx) * scale, mid - (ay - cy) * scale)
 
-    def points(lo: int) -> str:
-        hi = min(lo + SLICE_ROWS, len(xs))
-        k, p = hi - lo, _period(xs, ys, lo, hi)
+    def points(lo: int, hi: int, p: int) -> str:
+        k = hi - lo
         if p:
             cycle = ["%.3f,%.3f" % (mid + (xs[i] - cx) * scale, mid - (ys[i] - cy) * scale)
                      for i in range(lo, lo + p)]
@@ -210,7 +219,7 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
         flat[1::2] = [mid - (y - cy) * scale for y in ys[lo:hi]]
         return " ".join(["%.3f,%.3f"] * k) % tuple(flat)
 
-    poly = " ".join(map(points, range(0, len(xs), SLICE_ROWS)))
+    poly = " ".join(points(*s) for s in slices)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -92,8 +92,9 @@ class Tolerance:
     max(|x|, |y|). Every verdict is one negligible call and no other code reads
     eps: the scale class of lam behind the orbit, power, convergence and
     stable-set verdicts, matrix preconditions and the origin test use close;
-    decompose collapses a scale negligible beside 0; the line, asymptoticity
-    and Psym tests ask that a distance or pairing be negligible beside the norm.
+    the line, asymptoticity and Psym tests ask that a distance or pairing be
+    negligible beside the norm. No value is rounded to a class: tol decides
+    verdicts only.
     """
 
     eps: float = 1e-9
@@ -295,24 +296,24 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     """Recover canonical (lam, theta) from a symmetric trace-zero matrix.
 
     Raises NotSymmetricError / NotTraceZeroError when the input violates a
-    precondition beyond tol. Matrices whose scale is negligible beside 0,
-    at or below tol.eps, collapse to the canonical zero element (0, 0).
+    precondition beyond tol; tol decides nothing else. Every nonzero matrix
+    keeps its scale, however small, and only the zero matrix, -0.0 entries
+    included, gives the zero element (0, 0).
     """
-    # Python floats overflow to inf without a numpy warning, and halving
-    # before subtracting, which is exact for normal entries, keeps the
-    # half-difference finite wherever it is representable.
     x, p, q, y = _as_matrix2(m)
     if not tol.close(p, q):
         raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
     trace = x + y
     if not tol.close(trace, 0.0):
         raise NotTraceZeroError(f"not trace zero: trace is {trace}")
-    a = 0.5 * x - 0.5 * y
-    b = 0.5 * p + 0.5 * q
-    lam = math.hypot(a, b)
-    if tol.negligible(lam, 0.0):
-        return TraceZeroSym2(0.0, 0.0)
-    return TraceZeroSym2(lam, math.atan2(b, a))
+    # Halving a finite difference is exact down to the smallest subnormal,
+    # where halving each entry first would round it to 0. Python floats
+    # overflow to inf without a numpy warning, and there halving first keeps
+    # the half-difference finite.
+    d, s = x - y, p + q
+    a = 0.5 * d if math.isfinite(d) else 0.5 * x - 0.5 * y
+    b = 0.5 * s if math.isfinite(s) else 0.5 * p + 0.5 * q
+    return TraceZeroSym2(math.hypot(a, b), math.atan2(b, a))
 
 
 def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:

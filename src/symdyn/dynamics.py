@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from functools import lru_cache
 
 from .core import DEFAULT_TOL, MAX_PERIOD, ORIGIN, Point2, Tolerance, _ndarray, _period, frozen
 from .geometry import ReflectScale, _in_range, point_on_line, point_on_perpendicular
@@ -102,9 +103,22 @@ def _scales(lam: float, *steps: int) -> list[float]:
     return [lam ** n for n in steps]
 
 
+# One entry each is enough: the verdicts of one command ask about one frozen
+# start, map and tol, so each fact is decided once per command.
+@lru_cache(maxsize=1)
 def _scale_class(lam: float, tol: Tolerance) -> float:
     # 0, 1 or -1 where lam is close to it, tried in that order; lam otherwise.
     return next((c for c in (0.0, 1.0, -1.0) if tol.close(lam, c)), lam)
+
+
+@lru_cache(maxsize=1)
+def _facts(p: Point2, m: ReflectScale, tol: Tolerance) -> tuple[bool, float, bool]:
+    # Whether p is the origin, lam's scale class, and whether p lies on the
+    # line the map fixes (the axis for class 1, its perpendicular for -1),
+    # within tol: as T**2 = lam**2 I, these decide every orbit verdict.
+    lam = _scale_class(m.lam, tol)
+    on_line = {1.0: point_on_line, -1.0: point_on_perpendicular}.get(lam)
+    return tol.close(p.norm(), 0.0), lam, bool(on_line and on_line(p, m.axis, tol))
 
 
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
@@ -142,16 +156,10 @@ def classify_orbit_cardinality(
     fixed and everything else alternates. Any other nonzero scale gives
     pairwise-distinct iterates. All membership tests are within tol.
     """
-    if tol.close(p.norm(), 0.0):
+    at_origin, lam, on_fixed_line = _facts(p, m, tol)
+    if at_origin or on_fixed_line:
         return Finite(1)
-    lam = _scale_class(m.lam, tol)
-    if lam == 0.0:
-        return Finite(2)
-    if lam == 1.0:
-        return Finite(1) if point_on_line(p, m.axis, tol) else Finite(2)
-    if lam == -1.0:
-        return Finite(1) if point_on_perpendicular(p, m.axis, tol) else Finite(2)
-    return Infinite()
+    return Finite(2) if lam in (0.0, 1.0, -1.0) else Infinite()
 
 
 # The steps between two checks of orbit's trace for a repeat.
@@ -211,26 +219,25 @@ def classify_convergence(
 ) -> ConvergenceVerdict:
     """Convergence verdict for the iterate sequence starting at p.
 
-    Read off the orbit's cardinality: the origin, and every point when
-    lam = 0, go to the origin; a fixed point (Finite(1)) converges to
-    itself, and a two-cycle does not converge. An infinite orbit does not
-    converge in the discrete topology, where only eventually constant
-    sequences do; in the usual topology |lam| < 1 contracts it to the
-    origin and |lam| > 1 blows it up. Comparisons are within tol.
+    The origin, and every point when lam = 0, go to the origin; for lam = 1
+    or -1 a start on the line the map fixes converges to itself, and any
+    other start makes a two-cycle, which does not converge. An infinite
+    orbit does not converge in the discrete topology, where only eventually
+    constant sequences do; in the usual topology |lam| < 1 contracts it to
+    the origin and |lam| > 1 blows it up. Comparisons are within tol.
     """
     verdict: ConvergesTo | NotConvergent | DivergesToInfinity
-    if tol.close(p.norm(), 0.0) or _scale_class(m.lam, tol) == 0.0:
+    at_origin, lam, on_fixed_line = _facts(p, m, tol)
+    if at_origin or lam == 0.0:
+        verdict = ConvergesTo(ORIGIN)
+    elif on_fixed_line:
+        verdict = ConvergesTo(p)
+    elif abs(lam) == 1.0 or topology is Topology.DISCRETE:
+        verdict = NotConvergent()
+    elif abs(lam) < 1.0:
         verdict = ConvergesTo(ORIGIN)
     else:
-        cardinality = classify_orbit_cardinality(p, m, tol)
-        if cardinality == Finite(1):
-            verdict = ConvergesTo(p)
-        elif cardinality == Finite(2) or topology is Topology.DISCRETE:
-            verdict = NotConvergent()
-        elif stable_set(p, m.lam, tol) is StableSet.WHOLE_PLANE:
-            verdict = ConvergesTo(ORIGIN)
-        else:
-            verdict = DivergesToInfinity()
+        verdict = DivergesToInfinity()
     return ConvergenceVerdict(topology=topology, verdict=verdict)
 
 

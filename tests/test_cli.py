@@ -51,6 +51,25 @@ def test_decompose_zero_matrix(capsys):
     assert rec["lambda"] == 0.0 and rec["theta"] == 0.0
 
 
+# A scale at or below eps is a value like any other: tol decides verdicts only.
+def test_a_tiny_scale_is_kept(capsys):
+    rec = run_json(capsys, "build", "1e-10", "--theta", "1")
+    assert (rec["lambda"], rec["theta"]) == (1e-10, 1.0)
+    # the smallest subnormal, which halving each entry first rounds to 0
+    rec = run_json(capsys, "decompose", "5e-324", "0", "0", "-5e-324")
+    assert (rec["lambda"], rec["theta"]) == (5e-324, 0.0)
+
+
+def test_a_tiny_scale_steps_the_same_from_its_matrix(capsys):
+    # --from-matrix steps lam = 1e-10, not 0, as --lambda does.
+    start = ("orbit", "1", "1", "--iters", "2")
+    from_matrix = run(capsys, *start, "--from-matrix", "1e-10", "0", "0", "-1e-10")
+    from_lambda = run(capsys, *start, "--lambda", "1e-10", "--axis", "0")
+    assert from_matrix == from_lambda
+    assert from_lambda[1].startswith("n,x,y\n0,1,1\n1,1e-10,-1e-10\n2,1.0000000000000001e-20,")
+    assert "cardinality = Finite(2)\n" in from_lambda[1]
+
+
 def test_decompose_asymmetric_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "1", "2", "3", "4")
     assert code == 2
@@ -339,6 +358,57 @@ def test_classify_stable_set_is_whole_exactly_when_usual_converges_to_origin(cap
     assert f"stable_set = {rec['stable_set']}" in lines
     assert ("stable_set = WholePlane" in lines) == (
         "convergence[Usual] = ConvergesTo (0, 0)" in lines)
+
+
+# The start and map decide every orbit verdict through three facts (the
+# origin test, the scale class of lam and the test for the line the map
+# fixes), each decided once per command: 2 to 5 negligible calls in all.
+@pytest.mark.parametrize("lam", ["0", "1", "-1", "0.7", "2"])
+@pytest.mark.parametrize("command", ["classify", "orbit"])
+def test_each_orbit_fact_is_decided_once_per_command(monkeypatch, capsys, command, lam):
+    from symdyn import dynamics
+    dynamics._facts.cache_clear()
+    dynamics._scale_class.cache_clear()
+    calls, negligible = [], cli.Tolerance.negligible
+    monkeypatch.setattr(cli.Tolerance, "negligible",
+                        lambda self, *args: calls.append(args) or negligible(self, *args))
+    iters = ("--iters", "3") if command == "orbit" else ()
+    code, _, err = run(capsys, command, "3", "4", "--lambda", lam, "--axis", "0.3", *iters)
+    assert code == 0, err
+    assert 2 <= len(calls) <= 5, calls
+
+
+def test_the_fact_cache_answers_only_for_its_own_arguments():
+    from symdyn import dynamics
+    from symdyn.geometry import AxisLine, ReflectScale
+    p, q, tol = cli.Point2(3.0, 4.0), cli.Point2(-30.0, -40.0), cli.Tolerance()
+    near_one = ReflectScale(0.9995, AxisLine(0.3))
+    on_y_axis = ReflectScale(1.0, AxisLine(math.pi / 2.0))
+
+    def verdicts(p, m, tol):
+        # repr, so that a limit's -0.0 is told from 0.0
+        return repr((dynamics.classify_orbit_cardinality(p, m, tol),
+                     dynamics.stable_set(p, m.lam, tol),
+                     [dynamics.classify_convergence(p, m, t, tol) for t in dynamics.Topology],
+                     dynamics.is_power_identity(m.lam, 2, tol),
+                     dynamics.is_forward_asymptotic(p, q, m.lam, tol)))
+
+    def fresh(*args):
+        dynamics._facts.cache_clear()
+        dynamics._scale_class.cache_clear()
+        return verdicts(*args)
+
+    # 0.9995 is of class 1 within 1e-3 and of no class within 1e-9; the
+    # starts (0.0, 2) and (-0.0, 2) are equal keys, both fixed by the map.
+    cases = [(p, near_one, cli.Tolerance(1e-3)), (p, near_one, cli.Tolerance(1e-9)),
+             (cli.Point2(0.0, 2.0), on_y_axis, tol), (cli.Point2(-0.0, 2.0), on_y_axis, tol)]
+    expected = [fresh(*case) for case in cases]
+    assert "Finite(size=2)" in expected[0] and "SingletonSelf" in expected[0]
+    assert "Infinite()" in expected[1] and "WholePlane" in expected[1]
+    assert expected[2].replace("x=0.0", "x=-0.0") == expected[3] != expected[2]
+    for _ in range(3):
+        for case, answer in zip(cases + cases[::-1], expected + expected[::-1]):
+            assert verdicts(*case) == answer, case
 
 
 # --- compose ----------------------------------------------------------------------

@@ -102,15 +102,25 @@ def test_decompose_three_four():
     assert oracles.ang_dist(tz.theta, math.atan2(4.0, 3.0)) <= 1e-12
 
 
-def test_decompose_snaps_tiny_scale_to_zero():
+def test_decompose_keeps_every_nonzero_scale():
+    # tol decides the preconditions only: a scale at or below eps is kept,
+    # down to the smallest subnormal, which halving each entry before
+    # subtracting would round to 0.
     tz = core.decompose([[1e-12, -3e-13], [-3e-13, -1e-12]])
-    assert tz.lam == 0.0 and tz.theta == 0.0
-    # The collapse is negligible(lam, 0): a scale of exactly eps collapses,
-    # one ulp above it does not.
-    eps = core.DEFAULT_TOL.eps
-    assert core.decompose([[eps, 0.0], [0.0, -eps]]) == core.TraceZeroSym2(0.0, 0.0)
-    above = math.nextafter(eps, 1.0)
-    assert core.decompose([[above, 0.0], [0.0, -above]]) == core.TraceZeroSym2(above, 0.0)
+    assert tz == core.TraceZeroSym2(math.hypot(1e-12, 3e-13), math.atan2(-3e-13, 1e-12))
+    eps, tiny = core.DEFAULT_TOL.eps, 5e-324
+    assert core.decompose([[eps, 0.0], [0.0, -eps]]) == core.TraceZeroSym2(eps, 0.0)
+    assert core.decompose([[tiny, 0.0], [0.0, -tiny]]) == core.TraceZeroSym2(tiny, 0.0)
+    assert core.decompose([[0.0, tiny], [tiny, 0.0]]) == core.TraceZeroSym2(tiny, math.pi / 2.0)
+
+
+def test_decompose_of_the_zero_matrix_is_the_zero_element():
+    # Every sign of zero in every entry: (0, 0), neither a -0.0 nor theta = pi.
+    for signs in range(16):
+        x, p, q, y = (-0.0 if signs >> i & 1 else 0.0 for i in range(4))
+        tz = core.decompose([[x, p], [q, y]])
+        assert [math.copysign(1.0, v) for v in (tz.lam, tz.theta)] == [1.0, 1.0], signs
+        assert tz == core.TraceZeroSym2(0.0, 0.0)
 
 
 def test_decompose_rejects_asymmetric():
