@@ -87,14 +87,14 @@ class Tolerance:
     """Scale-aware comparison threshold, and the one test behind every verdict.
 
     d is negligible beside a size when |d| <= eps * (scale + size), never when
-    d is not finite; scale is 1, or the power of two by which the size's
-    coordinates were scaled. x is close to y when x - y is negligible beside
-    max(|x|, |y|). Every verdict is one negligible call and no other code reads
-    eps: the scale class of lam behind the orbit, power, convergence and
-    stable-set verdicts, matrix preconditions and the origin test use close;
-    the line, asymptoticity and Psym tests ask that a distance or pairing be
-    negligible beside the norm. No value is rounded to a class: tol decides
-    verdicts only.
+    d is not finite; scale is 1, or where a norm overflows, the 2**-k by which
+    coordinates were scaled, k the binary exponent of the largest one. x is
+    close to y when x - y is negligible beside max(|x|, |y|). Every verdict is
+    one negligible call and no other code reads eps: the scale class of lam
+    behind the orbit, power, convergence and stable-set verdicts, matrix
+    preconditions and the origin test use close; the line, asymptoticity and
+    Psym tests ask that a distance or pairing be negligible beside the norm.
+    No value is rounded to a class: tol decides verdicts only.
     """
 
     eps: float = 1e-9
@@ -292,13 +292,20 @@ def _as_matrix2(m) -> tuple[float, float, float, float]:
     return x, p, q, y
 
 
+def _half_sum(x: float, y: float) -> float:
+    # (x + y) / 2 of finite floats: the sum halved, exact down to the smallest
+    # subnormal, or each term halved first where the sum overflows to inf.
+    s = x + y
+    return 0.5 * s if math.isfinite(s) else 0.5 * x + 0.5 * y
+
+
 def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     """Recover canonical (lam, theta) from a symmetric trace-zero matrix.
 
     Raises NotSymmetricError / NotTraceZeroError when the input violates a
-    precondition beyond tol; tol decides nothing else. Every nonzero matrix
-    keeps its scale, however small, and only the zero matrix, -0.0 entries
-    included, gives the zero element (0, 0).
+    precondition beyond tol, and ValueError when the scale overflows float64;
+    tol decides nothing else. Every nonzero matrix keeps its scale, however
+    small, and only the zero matrix, -0.0 entries included, gives (0, 0).
     """
     x, p, q, y = _as_matrix2(m)
     if not tol.close(p, q):
@@ -306,14 +313,11 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     trace = x + y
     if not tol.close(trace, 0.0):
         raise NotTraceZeroError(f"not trace zero: trace is {trace}")
-    # Halving a finite difference is exact down to the smallest subnormal,
-    # where halving each entry first would round it to 0. Python floats
-    # overflow to inf without a numpy warning, and there halving first keeps
-    # the half-difference finite.
-    d, s = x - y, p + q
-    a = 0.5 * d if math.isfinite(d) else 0.5 * x - 0.5 * y
-    b = 0.5 * s if math.isfinite(s) else 0.5 * p + 0.5 * q
-    return TraceZeroSym2(math.hypot(a, b), math.atan2(b, a))
+    a, b = _half_sum(x, -y), _half_sum(p, q)
+    lam = math.hypot(a, b)
+    if math.isinf(lam):
+        raise ValueError("the scale of the matrix overflows float64")
+    return TraceZeroSym2(lam, math.atan2(b, a))
 
 
 def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _ndarray, frozen
+from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _half_sum, _ndarray, frozen
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -36,9 +36,7 @@ class SymMatN:
             raise ValueError(f"packed storage needs {expected} entries, got {len(self.packed)}")
         if not all(map(math.isfinite, self.packed)):
             raise ValueError("entries must be finite")
-        # Floats are kept as they are; a float32 entry would keep its precision.
-        if not all(type(v) is float for v in self.packed):
-            object.__setattr__(self, "packed", tuple(map(float, self.packed)))
+        object.__setattr__(self, "packed", tuple(map(float, self.packed)))
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "SymMatN":
@@ -67,10 +65,7 @@ class SymMatN:
                     raise NotSymmetricError(
                         f"not symmetric: entries ({i},{j}) and ({j},{i}) differ"
                     )
-                # A diagonal entry averages to itself. x + y overflows only
-                # near the float limit, where halving each first is exact.
-                mean = 0.5 * (x + y)
-                packed.append(mean if math.isfinite(mean) else 0.5 * x + 0.5 * y)
+                packed.append(_half_sum(x, y))
         return cls(n, tuple(packed))
 
     @classmethod

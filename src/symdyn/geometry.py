@@ -81,12 +81,13 @@ def apply_T(m: ReflectScale, p: Point2) -> Point2:
 
 
 def _in_range(*points: Point2) -> tuple[float, tuple[Point2, ...]]:
-    # (s, the points times s): s = 1, or 1/4 where a norm overflows though
-    # every coordinate is finite: both its coordinates then exceed 1e300,
-    # where that division is exact, and a bound eps * (s + |p|) is finite again.
-    if (math.isinf(max(p.norm() for p in points))
-            and all(math.isfinite(c) for p in points for c in (p.x, p.y))):
-        return 0.25, tuple(Point2(p.x / 4.0, p.y / 4.0) for p in points)
+    # (s, the points times s): s = 1, or 2**-k where a norm overflows though
+    # every coordinate is finite, k the binary exponent of the largest, as in
+    # frobenius.scaled: exact for normal results; eps * (s + |p|) is finite again.
+    cs = [c for p in points for c in (p.x, p.y)]
+    if math.isinf(max(p.norm() for p in points)) and all(map(math.isfinite, cs)):
+        s = math.ldexp(1.0, -math.frexp(max(map(abs, cs)))[1])
+        return s, tuple(Point2(p.x * s, p.y * s) for p in points)
     return 1.0, points
 
 

@@ -70,6 +70,15 @@ def test_a_tiny_scale_steps_the_same_from_its_matrix(capsys):
     assert "cardinality = Finite(2)\n" in from_lambda[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "1.7e308", "1e308", "1e308", "-1.7e308"),
+    ("orbit", "1", "1", "--from-matrix", "1.7e308", "1e308", "1e308", "-1.7e308", "--iters", "2"),
+], ids=["decompose", "orbit"])
+def test_a_scale_that_overflows_exits_2(capsys, argv):
+    # Each entry is finite, but the hypot of the halves is not.
+    assert run(capsys, *argv) == (2, "", "error: the scale of the matrix overflows float64\n")
+
+
 def test_decompose_asymmetric_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "1", "2", "3", "4")
     assert code == 2

@@ -19,7 +19,14 @@ from symdyn.dynamics import (
     StableSet,
     Topology,
 )
-from symdyn.geometry import AxisLine, ReflectScale, apply_T, point_on_line, point_on_perpendicular
+from symdyn.geometry import (
+    AxisLine,
+    ReflectScale,
+    apply_T,
+    point_on_line,
+    point_on_perpendicular,
+    reflect_point,
+)
 
 axis_angles = st.floats(min_value=0.0, max_value=math.pi, exclude_max=True, allow_nan=False)
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -566,8 +573,9 @@ def test_unit_scale_keeps_distinct_points_apart():
 
 
 def test_points_taken_in_range_pass_on_their_scale(monkeypatch):
-    # Where a norm overflows, the coordinates are divided by 4, and the bound
-    # is eps * (1/4 + |p / 4|); finite norms keep the scale 1. Only the calls
+    # Where a norm overflows, the coordinates are scaled by s = 2**-k, k the
+    # binary exponent of the largest (1024 for 1.5e308), and the bound is
+    # eps * (s + |s p|); finite norms keep the scale 1. Only the calls
     # on a point's norm are kept: the scale class of lam = 1 makes calls of
     # size 1, and both points have norms above 1.
     scales, negligible = [], Tolerance.negligible
@@ -577,7 +585,34 @@ def test_points_taken_in_range_pass_on_their_scale(monkeypatch):
     for p in (Point2(1.5e308, 1.5e308), Point2(1.0, 1.0)):
         assert point_on_line(p, axis) and not point_on_perpendicular(p, axis)
         assert dynamics.is_forward_asymptotic(p, p, 1.0)
-    assert scales == [0.25] * 3 + [1.0] * 3
+    assert scales == [2.0**-1024] * 3 + [1.0] * 3
+
+
+def test_a_start_whose_norm_overflows_gets_the_verdicts_of_its_half():
+    # Coordinates up to 1.9 * 2**1023 whose norm overflows, on axes within a
+    # few eps of the start's direction or of its perpendicular: the line and
+    # asymptoticity verdicts of p equal those of p / 2, whose norm is finite,
+    # so the rescale moves no verdict. q is p mirrored across the axis.
+    rng, trues = np.random.default_rng(20261021), 0
+    for _ in range(3000):
+        while True:
+            u, v = rng.uniform(-1.9, 1.9, 2)
+            p = Point2(math.ldexp(u, 1023), math.ldexp(v, 1023))
+            if math.isinf(p.norm()):
+                break
+        eps = 10.0 ** rng.uniform(-15.0, -3.0)
+        tol = Tolerance(eps)
+        phi = math.atan2(p.y, p.x) + rng.choice((0.0, math.pi / 2)) + rng.uniform(-2.0, 2.0) * eps
+        axis, lam = AxisLine(phi), float(rng.choice((1.0, -1.0, 1.5)))
+        q = reflect_point(p, axis)
+        half, half_q = Point2(p.x / 2, p.y / 2), Point2(q.x / 2, q.y / 2)
+        verdicts = (point_on_line(p, axis, tol), point_on_perpendicular(p, axis, tol),
+                    dynamics.is_forward_asymptotic(p, q, lam, tol))
+        assert verdicts == (point_on_line(half, axis, tol),
+                            point_on_perpendicular(half, axis, tol),
+                            dynamics.is_forward_asymptotic(half, half_q, lam, tol)), (p, phi, eps)
+        trues += sum(verdicts)
+    assert trues > 1000
 
 
 _ON_AXIS = ReflectScale(1.0, AxisLine(0.5))
