@@ -155,8 +155,10 @@ def _csv(xs, ys):
 
 
 def orbit_csv(xs, ys) -> str:
-    """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as
-    in OrbitRecord.xs and .ys: header n,x,y then one row per point."""
+    """CSV text for the orbit trace whose n-th point is (xs[n], ys[n]), as in
+    OrbitRecord.xs and .ys, of one length: header n,x,y then a row per point."""
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have the same length")
     return "".join(_csv(xs, ys))
 
 
@@ -168,8 +170,10 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     The viewport is fixed at SVG_SIZE x SVG_SIZE and scaled to the bounding
     box of the finite points with 10 percent padding; they are joined in
     iteration order, and points that overflowed are left out. A trace with
-    no finite point raises ValueError.
+    no finite point, or xs and ys of different lengths, raises ValueError.
     """
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have the same length")
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
         xs, ys = ([x for x, y in zip(xs, ys) if isfinite(x) and isfinite(y)],
@@ -181,19 +185,15 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     # A slice with a period p repeats its first p points bit for bit, and
     # min and max keep the first extreme, so those points give its extremes.
     heads = [(lo, lo + p if p else hi) for lo, hi, p in slices]
-
-    def box(xs, ys) -> tuple[float, float, float, float]:
-        return (min(min(xs[a:b]) for a, b in heads), max(max(xs[a:b]) for a, b in heads),
-                min(min(ys[a:b]) for a, b in heads), max(max(ys[a:b]) for a, b in heads))
-
-    x_lo, x_hi, y_lo, y_hi = box(xs, ys)
-    # Near either end of the float range the box would overflow or
-    # underflow, so there the coordinates are scaled by 2**-k, which is exact.
+    x_lo, x_hi = min(min(xs[a:b]) for a, b in heads), max(max(xs[a:b]) for a, b in heads)
+    y_lo, y_hi = min(min(ys[a:b]) for a, b in heads), max(max(ys[a:b]) for a, b in heads)
+    # Near either end of the float range the box would overflow or underflow, so
+    # there the coordinates are scaled by 2**-k, which is exact and keeps order.
     k = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
     if not -512 < k < 512:
         xs = [math.ldexp(x, -k) for x in xs]
         ys = [math.ldexp(y, -k) for y in ys]
-        x_lo, x_hi, y_lo, y_hi = box(xs, ys)
+        x_lo, x_hi, y_lo, y_hi = (math.ldexp(v, -k) for v in (x_lo, x_hi, y_lo, y_hi))
     cx = 0.5 * (x_lo + x_hi)
     cy = 0.5 * (y_lo + y_hi)
     # A box of one point takes the point's larger coordinate magnitude as
@@ -265,7 +265,7 @@ def cmd_build(args) -> int:
         # mod pi, whole periods of it; below, it keeps its bytes.
         theta = 2.0 * (_reduce(axis, math.pi) if 2.0**1023 <= abs(axis) < math.inf else axis)
     m = TraceZeroSym2(args.lam, theta).rows()
-    return _emit(_params(decompose(m, _tolerance(args.tol)), m), args.json)
+    return _emit(_params(decompose(m), m), args.json)
 
 
 def _start(args) -> Point2:
@@ -283,8 +283,8 @@ def _orbit_map(args, tol: Tolerance) -> tuple[float, float]:
     # Returns (lam, axis angle); --from-matrix routes through decompose so a
     # printed decomposition feeds back into the identical trajectory.
     if args.from_matrix is not None:
-        if args.lam is not None or args.axis is not None:
-            raise ValueError("--from-matrix excludes --lambda/--axis")
+        if args.lam is not None or args.axis is not None or args.degrees:
+            raise ValueError("--from-matrix excludes --lambda/--axis/--degrees")
         tz = decompose((args.from_matrix[:2], args.from_matrix[2:]), tol)
         return tz.lam, tz.axis_angle
     if args.lam is None or args.axis is None:
@@ -297,6 +297,8 @@ def cmd_orbit(args) -> int:
     tol = _tolerance(args.tol)
     if not 1 <= args.iters <= MAX_ITERS:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
+    if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+        raise ValueError("--out and --svg name the same file")
     lam, phi = _orbit_map(args, tol)
     m = ReflectScale(lam, AxisLine(phi))
     start = _start(args)
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():
         if name in ("build", "orbit", "classify", "compose"):
             p.add_argument("--degrees", action="store_true", help="angles are degrees")
-        if name != "compose":  # compose checks its product at a fixed 1e-12
+        if name not in ("build", "compose"):  # build's matrix is exact; compose checks at 1e-12
             p.add_argument("--tol", type=float, default=1e-9,
                            help="comparison tolerance (default 1e-9)")
         p.add_argument("--json", action="store_true", help="emit one JSON record instead of text")

@@ -339,13 +339,9 @@ def classify_orthogonal(m, tol: Tolerance = DEFAULT_TOL) -> Orthogonal2:
         raise NotOrthogonalError("columns are not orthonormal within tolerance")
     det = x * y - p * q
     if tol.close(det, 1.0):
-        c = 0.5 * (x + y)
-        s = 0.5 * (p - q)
-        return Orthogonal2(OrthogonalVariant.ROTATION, math.atan2(s, c))
+        return Orthogonal2(OrthogonalVariant.ROTATION, math.atan2(0.5 * (p - q), 0.5 * (x + y)))
     if tol.close(det, -1.0):
-        c = 0.5 * (x - y)
-        s = 0.5 * (p + q)
-        return Orthogonal2(OrthogonalVariant.REFLECTION, math.atan2(s, c))
+        return Orthogonal2(OrthogonalVariant.REFLECTION, math.atan2(0.5 * (p + q), 0.5 * (x - y)))
     raise NotOrthogonalError("determinant is near neither +1 nor -1")
 
 

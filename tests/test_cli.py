@@ -258,10 +258,28 @@ def test_orbit_needs_a_map(capsys):
     assert code == 2
 
 
-def test_orbit_from_matrix_excludes_flags(capsys):
-    code, _, _ = run(capsys, "orbit", "1", "0", "--lambda", "1", "--axis", "0",
-                     "--from-matrix", "1", "0", "0", "-1", "--iters", "2")
-    assert code == 2
+@pytest.mark.parametrize("flags,named", [
+    (("--lambda", "1", "--axis", "0"), "--lambda"),
+    # the matrix holds no angle to convert, so --degrees would go unread
+    (("--degrees",), "--degrees"),
+], ids=["lambda-axis", "degrees"])
+def test_orbit_from_matrix_excludes_flags(capsys, tmp_path, flags, named):
+    csv = tmp_path / "o.csv"
+    code, out, err = run(capsys, "orbit", "1", "0", *flags, "--from-matrix", "1", "0", "0", "-1",
+                         "--iters", "2", "--out", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --from-matrix excludes") and named in err
+    assert not csv.exists()
+
+
+def test_orbit_out_and_svg_on_one_file_exit_2(capsys, tmp_path, monkeypatch):
+    # the two paths differ as text, and name one file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3",
+                         "--iters", "3", "--out", "same.out", "--svg", "./same.out")
+    assert (code, out) == (2, "")
+    assert err == "error: --out and --svg name the same file\n"
+    assert not (tmp_path / "same.out").exists()
 
 
 def test_orbit_iters_bounds(capsys):
@@ -320,6 +338,27 @@ def test_orbit_svg_degenerate_bbox(capsys, tmp_path):
     rec = cli.orbit(cli.Point2(math.inf, 0.0), cli.ReflectScale(1.0, cli.AxisLine(0.3)), 3)
     with pytest.raises(ValueError, match="no point of the orbit trace is finite"):
         cli.orbit_svg(rec.xs, rec.ys, rec.map.axis)
+
+
+@pytest.mark.parametrize("render", [cli.orbit_csv, lambda xs, ys: cli.orbit_svg(
+    xs, ys, cli.AxisLine(0.3))], ids=["csv", "svg"])
+@pytest.mark.parametrize("xs,ys", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])],
+                         ids=["longer-xs", "longer-ys"])
+def test_renderers_refuse_traces_of_two_lengths(render, xs, ys):
+    with pytest.raises(ValueError, match="^xs and ys must have the same length$"):
+        render(array("d", xs), array("d", ys))
+
+
+def test_orbit_svg_box_scales_with_its_coordinates():
+    # The largest coordinate, 2**1000, scales the box by 2**-1001, and the
+    # others underflow to zeros of either sign under that scale, the zeros
+    # in an order where min and max keep a zero whose sign differs from that
+    # of the scaled extreme.
+    xs = array("d", [2.0**1000, 0.0, -5e-324, -1e-300, -0.0, 3.0])
+    ys = array("d", [0.0, 5e-324, -5e-324, -1e-310, -0.0, 0.0])
+    svg = cli.orbit_svg(xs, ys, cli.AxisLine(0.3))
+    assert (hashlib.sha256(svg.encode()).hexdigest()
+            == "884c38bcbb5a911c069a335120fa3e09416c4280e2937b3ee738db50ade03e62")
 
 
 # --- classify --------------------------------------------------------------------
@@ -468,10 +507,15 @@ def test_compose_requires_direction(capsys):
     assert code == 2
 
 
-def test_compose_takes_no_tolerance(capsys):
-    # verified compares the residual with a fixed 1e-12, so a --tol would go unread
-    code, out, err = run(capsys, "compose", "--alpha", "1e4", "--theta", "0.3", "--cw",
-                         "--tol", "1")
+@pytest.mark.parametrize("argv", [
+    # verified compares the residual with a fixed 1e-12
+    ("compose", "--alpha", "1e4", "--theta", "0.3", "--cw"),
+    # build decomposes the matrix it built, symmetric with trace exactly 0
+    ("build", "2", "--theta", "1"),
+], ids=["compose", "build"])
+def test_compose_takes_no_tolerance(capsys, argv):
+    # a --tol would go unread, so the parser refuses it
+    code, out, err = run(capsys, *argv, "--tol", "1")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --tol 1" in err
 
@@ -693,7 +737,6 @@ TOL_BOUND_ERROR = ("error: --tol must be below 0.2928932188134525,"
                    " where the scale classes 0 and 1 overlap\n")
 TOL_ARGV = {
     "decompose": ["3", "4", "4", "-3"],
-    "build": ["5", "--theta", "0.9"],
     "orbit": ["1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "2"],
     "classify": ["3", "4", "--lambda", "5", "--axis", "0"],
     "psym": ["{file}"],
@@ -1016,9 +1059,12 @@ def _whole_range_argv(rng: random.Random, commands, tmp_path) -> list[str]:
         path = tmp_path / "m.txt"
         path.write_text(f"{n}\n" + "\n".join(" ".join(row) for row in rows) + "\n")
         argv = [str(path if rng.random() < 0.95 else tmp_path / "missing.txt")]
-    if command in ("build", "orbit", "classify", "compose") and rng.random() < 0.3:
+    # build takes no --tol, and --from-matrix no --degrees: such draws only
+    # test the parser's refusal, which tests of their own cover.
+    if (command in ("build", "orbit", "classify", "compose") and "--from-matrix" not in argv
+            and rng.random() < 0.3):
         argv.append("--degrees")
-    if command != "compose" and rng.random() < 0.2:
+    if command not in ("build", "compose") and rng.random() < 0.2:
         argv += ["--tol", rng.choice(["1e-12", "0.1", f()])]
     if rng.random() < 0.5:
         argv.append("--json")
