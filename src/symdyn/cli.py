@@ -18,7 +18,7 @@ import sys
 from enum import Enum
 
 from . import _EXPORTS, _OWNER
-from .core import (Point2, Tolerance, TraceZeroSym2, _period, _reduce, classify_orthogonal,
+from .core import (Point2, Tolerance, TraceZeroSym2, _period, _turns, classify_orthogonal,
                    decompose, matrix_from_params)
 
 
@@ -61,17 +61,13 @@ def _fmt(x: float) -> str:
 
 
 def _rad(value: float, degrees: bool) -> float:
-    if not degrees:
-        return value
-    # fmod by 360 is exact for every double, so whole turns vanish exactly;
-    # below two turns the value goes through as given and keeps its bytes.
-    return math.radians(math.fmod(value, 360.0) if 720.0 <= abs(value) < math.inf else value)
+    return math.radians(_turns(value, 360.0)) if degrees else value
 
 
 def _tolerance(eps: float) -> Tolerance:
-    if eps >= MAX_TOL:
-        raise ValueError(
-            f"--tol must be below {MAX_TOL!r}, where the scale classes 0 and 1 overlap")
+    if not 0.0 < eps < MAX_TOL:  # nan included
+        raise ValueError("--tol must be a positive real" if not eps > 0.0 else
+                         f"--tol must be below {MAX_TOL!r}, where the scale classes 0 and 1 overlap")
     return Tolerance(eps)
 
 
@@ -260,10 +256,7 @@ def cmd_build(args) -> int:
     if args.theta is not None:
         theta = _rad(args.theta, args.degrees)
     else:
-        axis = _rad(args.axis, args.degrees)
-        # Doubling overflows from 2**1023, so there the axis is first reduced
-        # mod pi, whole periods of it; below, it keeps its bytes.
-        theta = 2.0 * (_reduce(axis, math.pi) if 2.0**1023 <= abs(axis) < math.inf else axis)
+        theta = 2.0 * _turns(_rad(args.axis, args.degrees), math.pi)
     m = TraceZeroSym2(args.lam, theta).rows()
     return _emit(_params(decompose(m), m), args.json)
 
@@ -297,7 +290,10 @@ def cmd_orbit(args) -> int:
     tol = _tolerance(args.tol)
     if not 1 <= args.iters <= MAX_ITERS:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
-    if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+    # one path (a symlink included), or two names of one file (a hard link)
+    if args.out and args.svg and (os.path.realpath(args.out) == os.path.realpath(args.svg) or (
+            os.path.exists(args.out) and os.path.exists(args.svg)
+            and os.path.samefile(args.out, args.svg))):
         raise ValueError("--out and --svg name the same file")
     lam, phi = _orbit_map(args, tol)
     m = ReflectScale(lam, AxisLine(phi))

@@ -124,6 +124,12 @@ def _reduce(x: float, period: float) -> float:
     return r + 0.0  # -0.0 (from -0.0 or -period) becomes 0.0
 
 
+def _turns(x: float, period: float) -> float:
+    # x less its whole periods from two up (fmod: exact, keeps the sign); below,
+    # and for inf and nan, x as given, so its bytes and the finiteness errors stay.
+    return math.fmod(x, period) if 2.0 * period <= abs(x) < math.inf else x
+
+
 def mod_2pi(x: float) -> float:
     """Reduce an angle to [0, 2*pi). Idempotent on values already in range."""
     return _reduce(x, TAU)
@@ -133,7 +139,7 @@ def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
     # Nonnegative scale with the sign absorbed into the angle; the zero
     # matrix pins theta = 0 so decomposition stays a function.
     if lam < 0.0:
-        lam, theta = -lam, theta + math.pi
+        lam, theta = -lam, _turns(theta, TAU) + math.pi
     if lam == 0.0:  # -0.0 included, so the zero matrix has no -0.0 entries
         return 0.0, 0.0
     return lam, mod_2pi(theta)
@@ -168,8 +174,8 @@ class TraceZeroSym2:
 
     lam is the nonnegative scale (the eigenvalues are +lam and -lam) and
     theta in [0, 2*pi) is the matrix angle. The fixed line of the underlying
-    reflection sits at theta / 2. Construction canonicalizes: a negative
-    scale flips theta by pi, and lam == 0 forces theta = 0.
+    reflection sits at theta / 2. Construction canonicalizes: a negative scale
+    turns theta by pi once its whole periods go, and lam == 0 forces theta = 0.
     """
 
     lam: float
@@ -227,9 +233,9 @@ class Orthogonal2:
 def matrix_from_params(lam: float, theta: float) -> np.ndarray:
     """Build [[l cos t, l sin t], [l sin t, -l cos t]] from scale and angle.
 
-    Signs are absorbed canonically, so matrix_from_params(-l, t) returns
-    bit for bit the same matrix as matrix_from_params(l, (t + pi) mod 2pi).
-    The result is symmetric with trace exactly zero.
+    Signs are absorbed canonically: matrix_from_params(-l, t) is bit for bit
+    matrix_from_params(l, (t' + pi) mod 2pi), t' = t below 4pi and fmod(t, 2pi)
+    from there (_turns). The result is symmetric with trace exactly zero.
     """
     return TraceZeroSym2(lam, theta).matrix()
 

