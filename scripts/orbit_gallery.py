@@ -33,8 +33,8 @@ def main() -> int:
         m = ReflectScale(lam, AxisLine(args.axis))
         rec = orbit(start, m, args.iters, tol)
         tag = f"lam_{lam:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
-        (outdir / f"{tag}.csv").write_text(orbit_csv(rec.xs, rec.ys))
-        (outdir / f"{tag}.svg").write_text(orbit_svg(rec.xs, rec.ys, m.axis))
+        (outdir / f"{tag}.csv").write_text(orbit_csv(rec.xs, rec.ys), newline="")
+        (outdir / f"{tag}.svg").write_text(orbit_svg(rec.xs, rec.ys, m.axis), newline="")
         usual = classify_convergence(start, m, Topology.USUAL, tol).verdict
         print(f"lam={lam:+.3f}  cardinality={rec.cardinality}  usual={usual}")
     print(f"wrote {outdir}/")

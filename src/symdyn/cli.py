@@ -291,30 +291,30 @@ def cmd_orbit(args) -> int:
     if not 1 <= args.iters <= MAX_ITERS:
         raise ValueError(f"--iters must be between 1 and {MAX_ITERS}")
     # one path (a symlink included), or two names of one file (a hard link)
-    if args.out and args.svg and (os.path.realpath(args.out) == os.path.realpath(args.svg) or (
-            os.path.exists(args.out) and os.path.exists(args.svg)
-            and os.path.samefile(args.out, args.svg))):
+    out, svg = args.out, args.svg
+    if out is not None and svg is not None and (os.path.realpath(out) == os.path.realpath(svg) or (
+            os.path.exists(out) and os.path.exists(svg) and os.path.samefile(out, svg))):
         raise ValueError("--out and --svg name the same file")
     lam, phi = _orbit_map(args, tol)
     m = ReflectScale(lam, AxisLine(phi))
     start = _start(args)
     rec = orbit(start, m, args.iters, tol)
     xs, ys = rec.xs, rec.ys
-    if args.json and not args.out:
+    if args.json and out is None:
         # The record will carry the points, so fail before any file is
         # written; a non-finite point cannot come before truncated_at.
         t, isfinite = rec.truncated_at, math.isfinite
         if not (all(map(isfinite, xs[t:])) and all(map(isfinite, ys[t:]))):
             n = next(n for n in range(t, len(xs)) if not (isfinite(xs[n]) and isfinite(ys[n])))
             raise ValueError(f"orbit point {n} is not finite, so JSON cannot hold it")
-    if args.out:
-        _write_text(args.out, orbit_csv(xs, ys))
-    if args.svg:
-        _write_text(args.svg, orbit_svg(xs, ys, m.axis))
+    if out is not None:
+        _write_text(out, orbit_csv(xs, ys))
+    if svg is not None:
+        _write_text(svg, orbit_svg(xs, ys, m.axis))
     record = {"start": start, "lambda": lam, "axis": phi, "iters": args.iters,
               "cardinality": rec.cardinality, "convergence": _convergence(start, m, tol),
-              "csv": args.out, "svg": args.svg}
-    if args.json and not args.out:
+              "csv": out, "svg": svg}
+    if args.json and out is None:
         import json
         # Slice by slice, so that no string holds every point; %r writes a
         # float as json.dumps does, and the check above left only finite ones.
@@ -322,7 +322,7 @@ def cmd_orbit(args) -> int:
         sys.stdout.writelines(_in_slices("[%d, %r, %r]", ", ", xs, ys))
         sys.stdout.write("]}\n")
         return EXIT_OK
-    if not args.out:  # slice by slice, as --json
+    if out is None:  # slice by slice, as --json
         sys.stdout.writelines(_csv(xs, ys))
     return _emit(record, args.json, ("start", "lambda", "axis", "iters", "csv", "svg"))
 

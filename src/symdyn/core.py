@@ -34,26 +34,46 @@ class FrozenInstanceError(AttributeError):
     """An attribute of a frozen value was assigned or deleted."""
 
 
-def frozen(cls):
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
+def _real(x) -> float:
+    # float(x), except for text and bytes, whose digits float() would read.
+    if isinstance(x, _TEXT):
+        raise TypeError("text is no number")
+    return float(x)
+
+
+def frozen(cls=None, *, finite=True):
     """Make cls an immutable value type whose fields are its own annotations.
 
     The annotations give the field names in order and are never evaluated.
     A field with a class attribute takes it as its default. cls gets an
-    __init__ by position or keyword that sets the fields and then calls
+    __init__ by position or keyword that stores each field annotated float as
+    a Python float (_real), raises ValueError unless all of those are finite
+    (finite=False skips only that test), sets the fields and then calls
     __post_init__, if cls has one (which may still set a field with
     object.__setattr__); == and hash over the field tuple, between instances
     of the same class only; repr as Name(field=value, ...); __match_args__;
     and FrozenInstanceError on assigning or deleting any attribute.
     """
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    if cls is None:
+        return lambda cls: frozen(cls, finite=finite)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    reals = [n for n in names if annotations[n] in ("float", float)]
     # The __init__ is compiled for cls: setting each field by name costs
     # less per call than a shared __init__ that loops over its arguments.
     params = "".join(f", {n}=_cls.{n}" if n in cls.__dict__ else f", {n}" for n in names)
     src = (f"def __init__(self{params}):\n"
+           + "".join(f"    {n} = {n} if {n}.__class__ is float else _real({n})\n" for n in reals)
+           + (f"    if not ({' and '.join(f'_isfinite({n})' for n in reals)}):\n"
+              f"        raise ValueError({' and '.join(reals) + ' must be finite'!r})\n"
+              if finite and reals else "")
            + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
            + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "    pass\n")
            + f"def key(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n")
-    ns = {"_cls": cls, "_set": object.__setattr__}
+    ns = {"_cls": cls, "_set": object.__setattr__, "_real": _real, "_isfinite": math.isfinite}
     exec(src, ns)
     key = ns["key"]
 
@@ -82,7 +102,7 @@ def frozen(cls):
     return cls
 
 
-@frozen
+@frozen(finite=False)
 class Tolerance:
     """Scale-aware comparison threshold, and the one test behind every verdict.
 
@@ -102,7 +122,6 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError("eps must be a positive finite real")
-        object.__setattr__(self, "eps", float(self.eps))
 
     def negligible(self, d: float, size: float, scale: float = 1.0) -> bool:
         return math.isfinite(d) and abs(d) <= self.eps * (scale + size)
@@ -145,18 +164,13 @@ def _canonical_params(lam: float, theta: float) -> tuple[float, float]:
     return lam, mod_2pi(theta)
 
 
-@frozen
+@frozen(finite=False)
 class Point2:
-    """A point of the plane, its coordinates stored as Python floats."""
+    """A point of the plane, its coordinates Python floats that may be inf or
+    nan (finite=False): overflowed traces and infinite starts are points too."""
 
     x: float
     y: float
-
-    def __post_init__(self) -> None:
-        # A float is kept as it is: two setattrs per point would double its cost.
-        if type(self.x) is not float or type(self.y) is not float:
-            object.__setattr__(self, "x", float(self.x))
-            object.__setattr__(self, "y", float(self.y))
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -182,9 +196,7 @@ class TraceZeroSym2:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and math.isfinite(self.theta)):
-            raise ValueError("lam and theta must be finite")
-        lam, theta = _canonical_params(float(self.lam), float(self.theta))
+        lam, theta = _canonical_params(self.lam, self.theta)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "theta", theta)
 
@@ -219,9 +231,7 @@ class Orthogonal2:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError("angle must be finite")
-        object.__setattr__(self, "angle", mod_2pi(self.angle))
+        object.__setattr__(self, "angle", _reduce(self.angle, TAU))  # mod_2pi, one call less
 
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.angle), math.sin(self.angle)
@@ -243,18 +253,13 @@ def matrix_from_params(lam: float, theta: float) -> np.ndarray:
 def _float_rows(m) -> list[list[float]]:
     # The rows of a matrix as lists of floats, from any nested sequence or,
     # through tolist(), an ndarray. TypeError for what is no row of numbers,
-    # text or bytes included, whose digits float() would read; OverflowError
-    # for an int beyond the float range.
-    text, rows = (str, bytes, bytearray, memoryview), []
+    # text or bytes included (_real); OverflowError for an int beyond the
+    # float range.
+    rows = []
     for row in m.tolist() if hasattr(m, "tolist") else m:
-        if isinstance(row, text):
+        if isinstance(row, _TEXT):
             raise TypeError("a row of text is no row of numbers")
-        floats = []
-        for x in row:
-            if isinstance(x, text):
-                raise TypeError("text is no number")
-            floats.append(float(x))
-        rows.append(floats)
+        rows.append([x if x.__class__ is float else _real(x) for x in row])
     return rows
 
 

@@ -35,9 +35,7 @@ class AxisLine:
     phi: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
-        phi = mod_pi(self.phi)
+        phi = _reduce(self.phi, math.pi)  # mod_pi, one call less per axis
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "direction", (math.cos(phi), math.sin(phi)))
         object.__setattr__(self, "reflection", (math.cos(2.0 * phi), math.sin(2.0 * phi)))
@@ -53,11 +51,6 @@ class ReflectScale:
 
     lam: float
     axis: AxisLine
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lam):
-            raise ValueError("lam must be finite")
-        object.__setattr__(self, "lam", float(self.lam))
 
     def matrix(self) -> np.ndarray:
         (c, s), lam = self.axis.reflection, self.lam

@@ -301,6 +301,20 @@ def test_orbit_unwritable_path_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("paths,code,line", [
+    (("--out", ""), 3, "error: [Errno 2] No such file or directory: ''"),
+    (("--out", "", "--json"), 3, "error: [Errno 2] No such file or directory: ''"),
+    (("--svg", ""), 3, "error: [Errno 2] No such file or directory: ''"),
+    (("--out", "", "--svg", ""), 2, "error: --out and --svg name the same file"),
+], ids=["out", "out-json", "svg", "both"])
+def test_orbit_empty_path_is_a_path(capsys, tmp_path, monkeypatch, paths, code, line):
+    # An empty path names no file, as it would in open(); it is not "no path".
+    monkeypatch.chdir(tmp_path)
+    got = run(capsys, "orbit", "1", "0", "--lambda", "0.5", "--axis", "0.3", "--iters", "2", *paths)
+    assert got == (code, "", line + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_needs_a_map(capsys):
     code, _, err = run(capsys, "orbit", "1", "0", "--iters", "2")
     assert code == 2

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -471,6 +472,63 @@ def test_value_types_are_frozen_values(cls, args, text, other):
     assert a == b
 
 
+def _float_bits(value, names):
+    return array("d", [getattr(value, n) for n in names]).tobytes()
+
+
+_REALS = [np.float32(0.3), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+          -7, 0, True, False, Fraction(-1, 3)]
+_TEXTS = ["1", b"1", bytearray(b"1"), memoryview(b"1")]
+
+
+@pytest.mark.parametrize("cls,args,text,other", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_types_store_each_float_field_as_a_python_float(cls, args, text, other):
+    # One rule for every type: a field annotated float holds float(v), with
+    # its bits, or the type raises what float(v) itself would make it raise.
+    names = cls.__match_args__
+    reals = [n for n in names if cls.__annotations__[n] == "float"]
+    stored = cls(*args)
+    for n, arg in zip(names, args):
+        if n not in reals:
+            assert type(getattr(stored, n)) is type(arg) and getattr(stored, n) == arg
+    for i, n in enumerate(names):
+        if n not in reals:
+            continue
+        for v in _REALS:
+            given, want = list(args), list(args)
+            given[i], want[i] = v, float(v)
+            try:
+                expected = cls(*want)
+            except ValueError as error:
+                with pytest.raises(ValueError) as info:
+                    cls(*given)
+                assert str(info.value) == str(error)
+                continue
+            got = cls(*given)
+            assert [type(getattr(got, r)) for r in reals] == [float] * len(reals)
+            assert _float_bits(got, reals) == _float_bits(expected, reals)
+        for t in _TEXTS:
+            given = list(args)
+            given[i] = t
+            with pytest.raises(TypeError) as info:
+                cls(*given)
+            assert str(info.value) == "text is no number"
+
+
+def test_fields_not_annotated_float_are_stored_as_given():
+    assert type(Finite(np.int64(2)).size) is np.int64
+    xs, ys = array("d", [1.0]), array("d", [2.0])
+    record = OrbitRecord(_P, _MAP, xs, ys, Finite(1), 1)
+    assert record.xs is xs and record.ys is ys
+
+
+@pytest.mark.parametrize("t", _TEXTS, ids=["str", "bytes", "bytearray", "memoryview"])
+def test_matrix_entries_of_text_are_no_numbers(t):
+    with pytest.raises(TypeError) as info:
+        core._float_rows([[0.0, t], [1.0, 0.0]])
+    assert str(info.value) == "text is no number"
+
+
 def test_value_types_keep_defaults_checks_and_canonical_forms():
     assert core.Tolerance() == core.Tolerance(1e-9) == core.Tolerance(eps=1e-9)
     assert core.Tolerance.eps == core.Tolerance().eps == 1e-9
@@ -486,6 +544,22 @@ def test_value_types_keep_defaults_checks_and_canonical_forms():
     assert core.TraceZeroSym2(-1.0, 0.0).theta == math.pi
     assert AxisLine(4.0).phi == mod_pi(4.0)
     assert core.Orthogonal2(_ROT, -1.0).angle == core.mod_2pi(-1.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda v: core.TraceZeroSym2(v, 0.5), "lam and theta must be finite"),
+    (lambda v: core.TraceZeroSym2(2.0, v), "lam and theta must be finite"),
+    (lambda v: ReflectScale(v, _AXIS), "lam must be finite"),
+    (lambda v: AxisLine(v), "phi must be finite"),
+    (lambda v: core.Orthogonal2(_ROT, v), "angle must be finite"),
+    (lambda v: core.Tolerance(v), "eps must be a positive finite real"),
+], ids=["TraceZeroSym2.lam", "TraceZeroSym2.theta", "ReflectScale", "AxisLine",
+        "Orthogonal2", "Tolerance"])
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_value_types_name_their_nonfinite_fields(build, message, v):
+    with pytest.raises(ValueError) as info:
+        build(v)
+    assert str(info.value) == message
 
 
 def test_scalar_fields_are_stored_as_python_floats():
