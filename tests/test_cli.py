@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -1116,8 +1118,8 @@ def _negated(token: str) -> str:
     return token[1:] if token.startswith("-") else "-" + token
 
 
-def _whole_range_argv(rng: random.Random, commands, tmp_path) -> list[str]:
-    f, command = (lambda: _any_float(rng)), rng.choice(commands)
+def _whole_range_argv(rng: random.Random, command: str, tmp_path) -> list[str]:
+    f = lambda: _any_float(rng)
     a, b = f(), f()
     trace_zero = [a, b, b, _negated(a)]
     if command == "decompose":
@@ -1162,26 +1164,74 @@ def _whole_range_argv(rng: random.Random, commands, tmp_path) -> list[str]:
     return [command, *argv]
 
 
-def test_whole_float_range_gives_an_answer_or_exit_2(capsys, tmp_path):
+WHOLE_RANGE = GOLDEN / "wholerange.sha256"
+WHOLE_RANGE_COMMANDS = ("decompose", "build", "orbit", "classify", "psym", "ortho-classify",
+                        "compose")
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def _whole_range_runs(tmp_path):
+    """Yield (index, argv, code, out, err, digest) for each of 1500 whole-range
+    argv, run in-process through main().
+
+    One seeded stream picks each command and each command draws its argv from
+    a stream of its own, so a command's argv do not depend on which others
+    run. compose loads numpy: where it is missing, a compose argv is drawn but
+    not run, and its code and digest are None. The digest is that of
+    golden/rounds.sha256: argv, exit code, stdout, stderr and the --out and
+    --svg files, with tmp_path written as {tmp}.
+    """
+    pick = random.Random(2024)
+    streams = {c: random.Random(f"{c}/2024") for c in WHOLE_RANGE_COMMANDS}
+    tmp, written = str(tmp_path), (tmp_path / "o.csv", tmp_path / "o.svg")
+    for index in range(1500):
+        command = pick.choice(WHOLE_RANGE_COMMANDS)
+        argv = _whole_range_argv(streams[command], command, tmp_path)
+        if command == "compose" and not HAS_NUMPY:
+            yield index, argv, None, "", "", None
+            continue
+        for path in written:
+            path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised {exc!r}") from exc
+        out, err = out.getvalue(), err.getvalue()
+        parts = [s.replace(tmp, "{tmp}").encode() for s in (" ".join(argv), str(code), out, err)]
+        for flag in ("--out", "--svg"):
+            if flag in argv:
+                path = pathlib.Path(argv[argv.index(flag) + 1])
+                parts.append(path.read_bytes() if path.exists() else None)
+        h = hashlib.sha256()
+        for data in parts:  # each part led by its length; "-" for a file not written
+            h.update(b"-\n" if data is None else b"%d\n" % len(data) + data)
+        yield index, argv, code, out, err, h.hexdigest()
+
+
+def test_whole_float_range_gives_an_answer_or_exit_2(tmp_path):
     # Inputs from every part of the float range, on every command: each run
     # exits 0, 2 or 3, and what it writes holds no NaN or infinity, in JSON,
     # SVG or a text record. compose's verified is not asserted: its residual
-    # grows with |alpha| (ROADMAP item 15).
+    # grows with |alpha| (ROADMAP item 15). Each run's output bytes are the
+    # ones golden/wholerange.sha256 pins; a change of output writes it again,
+    #     PYTHONPATH=src python tests/test_cli.py > tests/golden/wholerange.sha256
+    # and its diff lists the argv that moved.
     def reject(constant):
         raise AssertionError(f"JSON holds {constant}")
 
-    commands = ["decompose", "build", "orbit", "classify", "psym", "ortho-classify"]
-    if importlib.util.find_spec("numpy") is not None:
-        commands.append("compose")
-    rng, svg, codes = random.Random(2024), tmp_path / "o.svg", set()
-    for _ in range(1500):
-        argv = _whole_range_argv(rng, commands, tmp_path)
-        svg.unlink(missing_ok=True)
-        try:
-            code = main(argv)
-        except Exception as exc:
-            pytest.fail(f"{argv} raised {exc!r}")
-        out, err = capsys.readouterr()
+    pinned = {}
+    for line in WHOLE_RANGE.read_text().splitlines():
+        index, command, digest = line.split()
+        pinned[int(index)] = (command, digest)
+    assert len(pinned) == 1500, "the manifest pins one line per argv"
+    svg, codes, moved = tmp_path / "o.svg", set(), []
+    for index, argv, code, out, err, digest in _whole_range_runs(tmp_path):
+        if digest is None:
+            continue
+        if pinned[index] != (argv[0], digest):
+            moved.append(f"{index}: {' '.join(argv).replace(str(tmp_path), '{tmp}')}")
         codes.add((argv[0], code))
         assert code in (0, 2, 3), (argv, code, err)
         if code == 2:
@@ -1196,7 +1246,9 @@ def test_whole_float_range_gives_an_answer_or_exit_2(capsys, tmp_path):
             text = svg.read_text().lower()
             assert "nan" not in text and "inf" not in text, argv
     # every command both answered and refused some input
+    commands = [c for c in WHOLE_RANGE_COMMANDS if HAS_NUMPY or c != "compose"]
     assert codes >= {(c, k) for c in commands for k in (0, 2)}, sorted(codes)
+    assert not moved, "output bytes moved:\n" + "\n".join(moved)
 
 
 # sha256 of the --out CSV and --svg files; the goldens cover only short orbits
@@ -1768,3 +1820,11 @@ def test_script_runs(tmp_path, script, args):
     argv += [a.replace("{tmp}", str(tmp_path / "out")) for a in args]
     res = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, argv, _, _, _, digest in _whole_range_runs(pathlib.Path(tmp)):
+            print(index, argv[0], digest)
