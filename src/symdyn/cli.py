@@ -18,8 +18,8 @@ import sys
 from enum import Enum
 
 from . import _EXPORTS, _OWNER
-from .core import (Point2, Tolerance, TraceZeroSym2, _period, _turns, classify_orthogonal,
-                   decompose, matrix_from_params)
+from .core import (Point2, Tolerance, TraceZeroSym2, _period, _rescale_exponent, _turns,
+                   classify_orthogonal, decompose, matrix_from_params)
 
 
 def _bind(*modules: str) -> None:
@@ -185,8 +185,8 @@ def orbit_svg(xs, ys, axis: AxisLine) -> str:
     y_lo, y_hi = min(min(ys[a:b]) for a, b in heads), max(max(ys[a:b]) for a, b in heads)
     # Near either end of the float range the box would overflow or underflow, so
     # there the coordinates are scaled by 2**-k, which is exact and keeps order.
-    k = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
-    if not -512 < k < 512:
+    k = _rescale_exponent((x_lo, x_hi, y_lo, y_hi))
+    if k:
         xs = [math.ldexp(x, -k) for x in xs]
         ys = [math.ldexp(y, -k) for y in ys]
         x_lo, x_hi, y_lo, y_hi = (math.ldexp(v, -k) for v in (x_lo, x_hi, y_lo, y_hi))
@@ -384,9 +384,9 @@ def cmd_psym(args) -> int:
     values = [float(t) for t in tokens[1:]]
     a = SymMatN.from_matrix([values[i:i + n] for i in range(0, n * n, n)], tol)
     if is_in_psym(a, tol):
-        # s = 1 unless |a| overflows, where the diagonal's sum could too.
-        b, s, _ = scaled(a)
-        c = b.trace() / n / s
+        # summed where scaled(a) rescales, as the diagonal's sum could overflow
+        b, k, _ = scaled(a)
+        c = math.ldexp(b.trace() / n, k)
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     witness = sym0_basis(n)[psym_witness(a, tol)]
     trace = frobenius_inner(witness, a)

@@ -106,15 +106,15 @@ def frozen(cls=None, *, finite=True):
 class Tolerance:
     """Scale-aware comparison threshold, and the one test behind every verdict.
 
-    d is negligible beside a size when |d| <= eps * (scale + size), never when
-    d is not finite; scale is 1, or where a norm overflows, the 2**-k by which
-    coordinates were scaled, k the binary exponent of the largest one. x is
-    close to y when x - y is negligible beside max(|x|, |y|). Every verdict is
-    one negligible call and no other code reads eps: the scale class of lam
-    behind the orbit, power, convergence and stable-set verdicts, matrix
-    preconditions and the origin test use close; the line, asymptoticity and
-    Psym tests ask that a distance or pairing be negligible beside the norm.
-    No value is rounded to a class: tol decides verdicts only.
+    d is negligible beside a size when |d| <= eps * size, never when d is not
+    finite. With no floor, a verdict on c * p or c * A is that on p or A. x is
+    close to y when x - y is negligible beside 1 + max(|x|, |y|), for the
+    dimensionless: lam's scale class (orbit, power, convergence and stable-set
+    verdicts) and classify_orthogonal's unit-scale tests. The line,
+    asymptoticity and Psym tests ask that a distance or pairing be negligible
+    beside the norm, matrix preconditions a difference or trace beside the
+    largest |entry|. Every verdict is one negligible call and no other code
+    reads eps; the origin test is exact. tol decides verdicts only.
     """
 
     eps: float = 1e-9
@@ -123,11 +123,11 @@ class Tolerance:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError("eps must be a positive finite real")
 
-    def negligible(self, d: float, size: float, scale: float = 1.0) -> bool:
-        return math.isfinite(d) and abs(d) <= self.eps * (scale + size)
+    def negligible(self, d: float, size: float) -> bool:
+        return math.isfinite(d) and abs(d) <= self.eps * size
 
     def close(self, x: float, y: float) -> bool:
-        return self.negligible(x - y, max(abs(x), abs(y)))
+        return self.negligible(x - y, 1.0 + max(abs(x), abs(y)))
 
 
 DEFAULT_TOL = Tolerance()
@@ -303,6 +303,14 @@ def _as_matrix2(m) -> tuple[float, float, float, float]:
     return x, p, q, y
 
 
+def _rescale_exponent(values) -> int:
+    # k, the binary exponent of the largest |v|, where it lies outside (-256, 256);
+    # 0 inside, where its square, or a sum of 64 * 64 such, stays normal. Every
+    # rescale is ldexp(v, -k): exact for normal results, the largest in [0.5, 1).
+    k = math.frexp(max(map(abs, values)))[1]
+    return 0 if -256 < k < 256 else k
+
+
 def _half_sum(x: float, y: float) -> float:
     # (x + y) / 2 of finite floats: the sum halved, exact down to the smallest
     # subnormal, or each term halved first where the sum overflows to inf.
@@ -313,16 +321,17 @@ def _half_sum(x: float, y: float) -> float:
 def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     """Recover canonical (lam, theta) from a symmetric trace-zero matrix.
 
-    Raises NotSymmetricError / NotTraceZeroError when the input violates a
-    precondition beyond tol, and ValueError when the scale overflows float64;
-    tol decides nothing else. Every nonzero matrix keeps its scale, however
+    Raises NotSymmetricError / NotTraceZeroError when p - q or the trace is not
+    negligible beside the largest |entry|, and ValueError when the scale
+    overflows float64; tol decides nothing else. Every nonzero matrix keeps its scale, however
     small, and only the zero matrix, -0.0 entries included, gives (0, 0).
     """
     x, p, q, y = _as_matrix2(m)
-    if not tol.close(p, q):
+    top = max(abs(x), abs(p), abs(q), abs(y))
+    if not tol.negligible(p - q, top):
         raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
     trace = x + y
-    if not tol.close(trace, 0.0):
+    if not tol.negligible(trace, top):
         raise NotTraceZeroError(f"not trace zero: trace is {trace}")
     a, b = _half_sum(x, -y), _half_sum(p, q)
     lam = math.hypot(a, b)

@@ -115,10 +115,10 @@ def _scale_class(lam: float, tol: Tolerance) -> float:
 def _facts(p: Point2, m: ReflectScale, tol: Tolerance) -> tuple[bool, float, bool]:
     # Whether p is the origin, lam's scale class, and whether p lies on the
     # line the map fixes (the axis for class 1, its perpendicular for -1),
-    # within tol: as T**2 = lam**2 I, these decide every orbit verdict.
+    # within tol (the origin exactly): as T**2 = lam**2 I, these decide every orbit verdict.
     lam = _scale_class(m.lam, tol)
     on_line = {1.0: point_on_line, -1.0: point_on_perpendicular}.get(lam)
-    return tol.close(p.norm(), 0.0), lam, bool(on_line and on_line(p, m.axis, tol))
+    return p.norm() == 0.0, lam, bool(on_line and on_line(p, m.axis, tol))
 
 
 def power_T(m: ReflectScale, n: int) -> np.ndarray:
@@ -261,8 +261,8 @@ def is_forward_asymptotic(
     """
     if stable_set(p, lam, tol) is StableSet.WHOLE_PLANE:
         return True
-    scale, (p, q) = _in_range(p, q)
-    return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()), scale)
+    p, q = _in_range(p, q)
+    return tol.negligible(p.distance_to(q), max(p.norm(), q.norm()))
 
 
 def stable_set(p: Point2, lam: float, tol: Tolerance = DEFAULT_TOL) -> StableSet:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _half_sum, _ndarray, frozen
+from .core import (DEFAULT_TOL, NotSymmetricError, Tolerance, _float_rows, _half_sum, _ndarray,
+                   _rescale_exponent, frozen)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -41,7 +42,8 @@ class SymMatN:
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "SymMatN":
         """Ingest a full square matrix, a list of rows or an ndarray, validating
-        symmetry within tol.
+        symmetry within tol: each mirror difference negligible beside the
+        largest |entry|.
 
         Mirror entries are averaged so the packed form is exactly symmetric;
         the mean of two finite entries is finite.
@@ -57,11 +59,11 @@ class SymMatN:
             raise ValueError("expected a square matrix")
         if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("entries must be finite")
-        packed = []
+        packed, top = [], max(abs(x) for row in rows for x in row)
         for i in range(n):
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]
-                if not tol.close(x, y):
+                if not tol.negligible(x - y, top):
                     raise NotSymmetricError(
                         f"not symmetric: entries ({i},{j}) and ({j},{i}) differ"
                     )
@@ -181,20 +183,14 @@ class _Sym0Basis(Sequence):
         return list(self) + other if isinstance(other, list) else NotImplemented
 
 
-def scaled(a: SymMatN) -> tuple[SymMatN, float, float]:
-    """(s * a, s, |s * a|) for a power of two s, |a| the Frobenius norm: a in
-    coordinates where its norm is finite.
-
-    s is 1 while |a| is finite. Otherwise s brings the largest entry into
-    [0.5, 1): that is exact for every entry it leaves in the normal range, and
-    the others lie hundreds of orders of magnitude below any pairing threshold.
-    """
-    norm = a.frobenius_norm()
-    if math.isfinite(norm):
-        return a, 1.0, norm
-    s = math.ldexp(1.0, -math.frexp(max(map(abs, a.packed)))[1])
-    b = SymMatN(a.n, tuple(v * s for v in a.packed))
-    return b, s, b.frobenius_norm()
+def scaled(a: SymMatN) -> tuple[SymMatN, int, float]:
+    """(2**-k * a, k, |2**-k * a|), |a| the Frobenius norm and k that of
+    core._rescale_exponent over the entries: a where its norm and pairings
+    neither overflow nor underflow. That is exact for every entry left in the
+    normal range; the others lie far below any pairing threshold."""
+    k = _rescale_exponent(a.packed)
+    b = SymMatN(a.n, tuple(math.ldexp(v, -k) for v in a.packed)) if k else a
+    return b, k, b.frobenius_norm()
 
 
 def _pairings(a: SymMatN) -> list[float]:
@@ -209,8 +205,8 @@ def psym_witness(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> int | None:
     """Index in sym0_basis(a.n) of the first B with Tr(B a) not negligible
     beside |a|, the Frobenius norm, in the coordinates of scaled(a); or None
     when a is in Psym. The threshold scales with |a| because the pairing does."""
-    b, s, norm = scaled(a)
-    return next((k for k, v in enumerate(_pairings(b)) if not tol.negligible(v, norm, s)), None)
+    b, _, norm = scaled(a)
+    return next((k for k, v in enumerate(_pairings(b)) if not tol.negligible(v, norm)), None)
 
 
 def is_in_psym(a: SymMatN, tol: Tolerance = DEFAULT_TOL) -> bool:

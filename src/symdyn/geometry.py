@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import DEFAULT_TOL, TAU, Point2, Tolerance, _ndarray, _reduce, _turns, frozen, mod_2pi
+from .core import (DEFAULT_TOL, TAU, Point2, Tolerance, _ndarray, _reduce, _rescale_exponent,
+                   _turns, frozen, mod_2pi)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -73,27 +74,26 @@ def apply_T(m: ReflectScale, p: Point2) -> Point2:
     return Point2(m.lam * r.x, m.lam * r.y)
 
 
-def _in_range(*points: Point2) -> tuple[float, tuple[Point2, ...]]:
-    # (s, the points times s): s = 1, or 2**-k where a norm overflows though
-    # every coordinate is finite, k the binary exponent of the largest, as in
-    # frobenius.scaled: exact for normal results; eps * (s + |p|) is finite again.
-    cs = [c for p in points for c in (p.x, p.y)]
-    if math.isinf(max(p.norm() for p in points)) and all(map(math.isfinite, cs)):
-        s = math.ldexp(1.0, -math.frexp(max(map(abs, cs)))[1])
-        return s, tuple(Point2(p.x * s, p.y * s) for p in points)
-    return 1.0, points
+def _in_range(*points: Point2) -> tuple[Point2, ...]:
+    # The points times 2**-k, k = core._rescale_exponent of their coordinates:
+    # where they would overflow or underflow a norm or product, in coordinates
+    # where neither does, as in frobenius.scaled; the points as given otherwise.
+    k = _rescale_exponent([c for p in points for c in (p.x, p.y)])
+    if k:
+        return tuple(Point2(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in points)
+    return points
 
 
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Scale-aware perpendicular-distance test for p lying on the axis line."""
-    (scale, [p]), (c, s) = _in_range(p), axis.direction
-    return tol.negligible(p.x * s - p.y * c, p.norm(), scale)
+    [p], (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * s - p.y * c, p.norm())
 
 
 def point_on_perpendicular(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test for p lying on the line through the origin orthogonal to axis."""
-    (scale, [p]), (c, s) = _in_range(p), axis.direction
-    return tol.negligible(p.x * c + p.y * s, p.norm(), scale)
+    [p], (c, s) = _in_range(p), axis.direction
+    return tol.negligible(p.x * c + p.y * s, p.norm())
 
 
 def _clockwise(alpha: float, direction: Direction) -> float:

@@ -69,13 +69,14 @@ def fused_mat_mul(a, b):
 def is_scalar(rows, eps: float = 0.0) -> bool:
     """Whether a square matrix, given by its rows, is c * I within eps: its
     distance to the nearest such matrix, c = Tr(A) / n, is at most
-    eps * (1 + |A|), both in the Frobenius norm. With eps = 0, exact on
+    eps * |A|, both in the Frobenius norm, so c * A is scalar within eps
+    exactly when A is. With eps = 0, exact on
     integers: every diagonal entry equal and every off-diagonal entry zero."""
     n = len(rows)
     c = sum(rows[i][i] for i in range(n)) / n
     off = math.sqrt(sum((x - (c if i == j else 0.0)) ** 2
                         for i, row in enumerate(rows) for j, x in enumerate(row)))
-    return off <= eps * (1.0 + math.sqrt(sum(x * x for row in rows for x in row)))
+    return off <= eps * math.sqrt(sum(x * x for row in rows for x in row))
 
 
 def mat_vec(a, v):
@@ -142,3 +143,14 @@ def distinct_points(xs, ys, eps: float) -> int:
             count += 1
         recent = [(x, y, r)] + recent[:1]
     return count
+
+
+def times_power_of_two(values, k: int):
+    """[v * 2**k for v in values] where every product is a float exactly,
+    else None: 2**k * v overflows, or rounds where it leaves the normal
+    range, and then scaling back by 2**-k misses v."""
+    try:
+        out = [math.ldexp(v, k) for v in values]
+    except OverflowError:
+        return None
+    return out if all(math.ldexp(w, -k) == v for v, w in zip(values, out)) else None

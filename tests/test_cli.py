@@ -240,17 +240,20 @@ def test_orbit_csv_schema(capsys):
     assert "convergence[Usual] = ConvergesTo (0, 0)" in out
 
 
-def test_orbit_and_classify_print_the_same_cardinality(capsys):
-    # 1e-11 off the axis is on it within tol; the orbit's reflections move
-    # the point by 2e-11, which must not turn it into a two-point orbit
-    args = ("1e-3", "1e-11", "--lambda", "1", "--axis", "0")
+@pytest.mark.parametrize("y,size", [("1e-13", 1), ("1e-11", 2)])
+def test_orbit_and_classify_print_the_same_cardinality(capsys, y, size):
+    # 1e-13 off the axis is 1e-10 of |p|, on the axis within tol; the orbit's
+    # reflections move the point by 2e-13, which must not turn it into a
+    # two-point orbit. 1e-11 is 1e-8 of |p|, off the axis at every scale: its
+    # trace flips the sign of y at each step, a two-point orbit.
+    args = ("1e-3", y, "--lambda", "1", "--axis", "0")
     _, orbit_out, _ = run(capsys, "orbit", *args, "--iters", "4")
     _, classify_out, _ = run(capsys, "classify", *args)
-    line = "cardinality = Finite(1)\n"
+    line = f"cardinality = Finite({size})\n"
     assert line in orbit_out and line in classify_out
     orbit_rec = run_json(capsys, "orbit", *args, "--iters", "4")
     classify_rec = run_json(capsys, "classify", *args)
-    assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {"kind": "Finite", "size": 1}
+    assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {"kind": "Finite", "size": size}
 
 
 @pytest.mark.parametrize("cmd", ["classify", "orbit"])
@@ -262,7 +265,7 @@ def test_orbit_and_classify_print_the_same_cardinality(capsys):
 ], ids=["off-axis", "on-axis", "off-perpendicular", "on-perpendicular"])
 def test_starts_whose_norm_overflows_are_placed_on_their_lines(capsys, cmd, map_args, size):
     # Each coordinate is finite but the norm is not; an infinite bound
-    # eps * (1 + |p|) would put the start on every line.
+    # eps * |p| would put the start on every line.
     argv = (cmd, "1.5e308", "1.5e308", *map_args)
     verdict = "ConvergesTo (1.5e+308, 1.5e+308)" if size == 1 else "NotConvergent"
     code, out, err = run(capsys, *argv)
@@ -482,8 +485,8 @@ def test_classify_stable_set_is_whole_exactly_when_usual_converges_to_origin(cap
 
 
 # The start and map decide every orbit verdict through three facts (the
-# origin test, the scale class of lam and the test for the line the map
-# fixes), each decided once per command: 2 to 5 negligible calls in all.
+# exact origin test, the scale class of lam and the test for the line the map
+# fixes), each decided once per command: 1 to 4 negligible calls in all.
 @pytest.mark.parametrize("lam", ["0", "1", "-1", "0.7", "2"])
 @pytest.mark.parametrize("command", ["classify", "orbit"])
 def test_each_orbit_fact_is_decided_once_per_command(monkeypatch, capsys, command, lam):
@@ -496,7 +499,7 @@ def test_each_orbit_fact_is_decided_once_per_command(monkeypatch, capsys, comman
     iters = ("--iters", "3") if command == "orbit" else ()
     code, _, err = run(capsys, command, "3", "4", "--lambda", lam, "--axis", "0.3", *iters)
     assert code == 0, err
-    assert 2 <= len(calls) <= 5, calls
+    assert 1 <= len(calls) <= 4, calls
 
 
 def test_the_fact_cache_answers_only_for_its_own_arguments():
@@ -738,7 +741,7 @@ def test_psym_n64_builds_only_its_witness(capsys, tmp_path, monkeypatch):
 
 
 def test_psym_entries_near_the_float_limit(capsys, tmp_path):
-    # The threshold eps * (1 + |a|) is taken in coordinates scaled by a power
+    # The threshold eps * |a| is taken in coordinates scaled by a power
     # of two once |a| overflows; before, it was inf and every matrix a member.
     rec = run_json(capsys, "psym", _write(tmp_path, "a.txt", "2  1e200 0  0 0"))
     assert rec == {"member": False, "n": 2, "witness": [1.0, 0.0, 0.0, -1.0], "trace": 1e200}
@@ -857,6 +860,53 @@ def test_tol_that_is_not_positive_exits_2(capsys, tmp_path, command):
 ])
 def test_tol_where_the_classes_overlap_is_rejected(capsys, argv):
     assert run(capsys, *argv) == (2, "", TOL_BOUND_ERROR)
+
+
+# --- verdicts at every scale -------------------------------------------------------------
+
+# The rule behind every verdict on a point or a matrix has no absolute floor,
+# and each matrix precondition compares beside the largest |entry|, so c * p
+# and c * A get the verdicts of p and A. Each argv once got another answer:
+# the first two were a fixed point at the origin, the third a member with
+# c = 2e-12, the fourth printed the zero element and the last two exited 2.
+SCALE_FREE = [
+    (("classify", "1e-10", "0", "--lambda", "2", "--axis", "0.3"),
+     {"cardinality": {"kind": "Infinite"}, "convergence": {
+         "Discrete": {"kind": "NotConvergent"}, "Usual": {"kind": "DivergesToInfinity"}}},
+     ["cardinality = Infinite", "convergence[Usual] = DivergesToInfinity"]),
+    (("classify", "1e-10", "2e-10", "--lambda", "1", "--axis", "0"),
+     {"cardinality": {"kind": "Finite", "size": 2}, "convergence": {
+         "Discrete": {"kind": "NotConvergent"}, "Usual": {"kind": "NotConvergent"}}},
+     ["cardinality = Finite(2)", "convergence[Usual] = NotConvergent"]),
+    (("psym", "{file}"),
+     {"member": False, "witness": [1.0, 0.0, 0.0, -1.0], "trace": -2.0000000000000004e-12},
+     ["member = false", "witness = [1, 0, 0, -1]"]),
+    (("decompose", "1e20", "0", "0", "-99999999999999983616"),
+     {"lambda": 1e20, "theta": 0.0, "matrix": [1e20, 0.0, 0.0, -1e20]},
+     ["lambda = 1e+20", "theta = 0"]),
+    (("decompose", "1e20", "1", "2", "-1e20"),
+     {"lambda": 1e20, "matrix": [1e20, 1.5000000000000002, 1.5000000000000002, -1e20]},
+     ["lambda = 1e+20", "matrix = [[1e+20, 1.5000000000000002], [1.5000000000000002, -1e+20]]"]),
+]
+
+
+@pytest.mark.parametrize("argv,record,lines", SCALE_FREE,
+                         ids=["diverges", "two-cycle", "psym-witness", "trace-ulp", "asymmetry-ulp"])
+def test_each_verdict_holds_at_every_scale(capsys, tmp_path, argv, record, lines):
+    argv = [a.replace("{file}", _write(tmp_path, "m.txt", "2  1e-12 0  0 3e-12")) for a in argv]
+    rec = run_json(capsys, *argv)
+    assert {k: rec[k] for k in record} == record
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert set(lines) <= set(out.splitlines()), out
+
+
+def test_a_scalar_matrix_of_any_size_is_not_trace_zero(capsys):
+    # 3e-10 * I once passed the trace-zero test, and decompose printed the
+    # zero element, which only the zero matrix gives.
+    for extra in ((), ("--json",)):
+        assert run(capsys, "decompose", "3e-10", "0", "0", "3e-10", *extra) == (
+            2, "", "error: not trace zero: trace is 6e-10\n")
 
 
 # --- parser-level behavior ------------------------------------------------------------

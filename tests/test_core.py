@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import warnings
@@ -353,15 +354,63 @@ def test_close_is_false_when_the_difference_is_not_finite(x, y):
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=0.0),
-       st.floats(min_value=0.0))
-def test_negligible_is_the_one_inequality(eps, d, size, scale):
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_negligible_is_the_one_inequality(eps, d, size, x):
     t = core.Tolerance(eps)
-    assert t.negligible(d, size) == (abs(d) <= eps * (1.0 + size))
-    assert t.negligible(d, size, scale) == (abs(d) <= eps * (scale + size))
+    # No floor: d is negligible beside size, or beside c * size as c * d.
+    assert t.negligible(d, size) == (abs(d) <= eps * size)
+    assert list(inspect.signature(core.Tolerance.negligible).parameters) == ["self", "d", "size"]
+    # close adds 1 to the size, for the dimensionless quantities it serves.
+    assert t.close(x, d) == t.negligible(x - d, 1.0 + max(abs(x), abs(d)))
     # Not finite is never negligible, even beside an infinite size.
     for bad in (math.nan, math.inf, -math.inf):
         assert not t.negligible(bad, size)
-        assert not t.negligible(bad, math.inf, scale)
+        assert not t.negligible(bad, math.inf)
+
+
+def _decompose_verdict(entries, tol):
+    # The canonical form, or the class of the precondition refused; None
+    # where the scale overflows float64, which is no verdict of tol.
+    try:
+        return core.decompose((entries[:2], entries[2:]), tol)
+    except (core.NotSymmetricError, core.NotTraceZeroError) as exc:
+        return type(exc)
+    except ValueError:
+        return None
+
+
+def test_a_matrix_times_a_power_of_two_keeps_decompose_verdict_and_negated_turns_by_pi():
+    # Sym_2^0 is a subspace, so 2**k * A, k anywhere in the float range, is
+    # accepted exactly when A is; -A keeps lam bit for bit and turns theta by
+    # pi, within 2 ulps of 2 * pi. The matrices lie within a relative 1e-12
+    # to 1e-6 of symmetric trace zero, or anywhere, at a scale 2**e anywhere
+    # in the float range. A draw where 2**e * A or 2**k * 2**e * A is not
+    # exact is skipped.
+    rng, checked, accepted = random.Random(25), 0, 0
+    for _ in range(4000):
+        tol = core.Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
+        lam, theta = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, core.TAU)
+        a, b = lam * math.cos(theta), lam * math.sin(theta)
+        near = [rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -6.0) * lam for _ in "xy"]
+        entries = rng.choice(([a, b + near[0], b, -a + near[1]],
+                              [rng.uniform(-5.0, 5.0) for _ in range(4)]))
+        base = oracles.times_power_of_two(entries, rng.randint(-1070, 1020))
+        scaled = base and oracles.times_power_of_two(base, rng.randint(-1074, 1023))
+        if not scaled:
+            continue
+        want, got = _decompose_verdict(base, tol), _decompose_verdict(scaled, tol)
+        if want is None or got is None:
+            continue
+        checked += 1
+        assert (got if isinstance(got, type) else type(got)) == (
+            want if isinstance(want, type) else type(want)), (base, scaled, tol)
+        if isinstance(want, core.TraceZeroSym2):
+            accepted += 1
+            neg = _decompose_verdict([-v for v in base], tol)
+            assert neg.lam == want.lam, base
+            turn = (Fraction(neg.theta) - Fraction(want.theta) - Fraction(math.pi)) % Fraction(core.TAU)
+            assert min(turn, Fraction(core.TAU) - turn) <= 2 * math.ulp(core.TAU), base
+    assert checked > 1500 and 0.2 * checked < accepted < 0.8 * checked
 
 
 def test_array_returning_functions_return_ndarrays():

@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 from array import array
 
@@ -306,20 +307,22 @@ def test_orbit_leaving_the_normal_floats_fakes_no_revisit(lam, max_iter, truncat
 
 
 def test_orbit_truncates_at_a_start_that_is_not_normal():
+    # a subnormal start is no origin: under lam = 1e10 its orbit diverges
     rec = dynamics.orbit(Point2(1e-310, 0.0), _mk(1e10, 0.3), 5)
-    assert rec.cardinality == Finite(1)
+    assert rec.cardinality == Infinite()
     assert rec.truncated_at == 0
 
 
 def test_orbit_cardinality_is_the_closed_form():
-    # 1e-11 off the axis is on it within tol, so the closed form says
+    # 1e-13 off the axis is on it within tol, so the closed form says
     # Finite(1), however many steps the trace takes, even though each
-    # reflection moves the point by 2e-11 = 2e-8 * |p|
-    p = Point2(1e-3, 1e-11)
+    # reflection moves the point by 2e-13 = 2e-10 * |p|; 1e-11, which is
+    # 1e-8 * |p|, is off it, so each reflection makes a two-point orbit
     m = _mk(1.0, 0.0)
-    assert dynamics.classify_orbit_cardinality(p, m) == Finite(1)
-    for max_iter in (2, 4, 10):
-        assert dynamics.orbit(p, m, max_iter).cardinality == Finite(1)
+    for p, size in ((Point2(1e-3, 1e-13), 1), (Point2(1e-3, 1e-11), 2)):
+        assert dynamics.classify_orbit_cardinality(p, m) == Finite(size)
+        for max_iter in (2, 4, 10):
+            assert dynamics.orbit(p, m, max_iter).cardinality == Finite(size)
 
 
 # scales on and within a few 1e-10 of the classification boundaries
@@ -567,25 +570,73 @@ def test_contraction_makes_everything_asymptotic():
 
 def test_unit_scale_keeps_distinct_points_apart():
     assert not dynamics.is_forward_asymptotic(Point2(1.0, 2.0), Point2(3.0, 4.0), 1.0)
-    # The distance and the bound eps * (1 + |p|) both overflow to inf here.
+    # The distance and the bound eps * |p| both overflow to inf here.
     assert not dynamics.is_forward_asymptotic(Point2(1.5e308, 1.5e308),
                                               Point2(-1.5e308, 1e308), 1.0)
 
 
 def test_points_taken_in_range_pass_on_their_scale(monkeypatch):
-    # Where a norm overflows, the coordinates are scaled by s = 2**-k, k the
-    # binary exponent of the largest (1024 for 1.5e308), and the bound is
-    # eps * (s + |s p|); finite norms keep the scale 1. Only the calls
-    # on a point's norm are kept: the scale class of lam = 1 makes calls of
-    # size 1, and both points have norms above 1.
-    scales, negligible = [], Tolerance.negligible
-    monkeypatch.setattr(Tolerance, "negligible", lambda self, d, size, scale=1.0: (
-        size > 1.0 and scales.append(scale)) or negligible(self, d, size, scale))
+    # Where a coordinate's binary exponent lies outside (-256, 256), the
+    # coordinates are scaled by 2**-k, k the exponent of the largest (1024
+    # for 1.5e308, -996 for 1e-300), and the size handed to negligible is
+    # the norm of the scaled point; other points keep their own. Only the
+    # calls on a point's norm are kept: stable_set decides the scale class of
+    # lam = 1 first, and the verdicts after it ask its one-entry cache.
+    sizes, negligible = [], Tolerance.negligible
+    dynamics._scale_class.cache_clear()
+    assert dynamics.stable_set(ORIGIN, 1.0) is StableSet.SINGLETON_SELF
+    monkeypatch.setattr(Tolerance, "negligible", lambda self, d, size: (
+        sizes.append(size) or negligible(self, d, size)))
     axis = AxisLine(math.pi / 4.0)
-    for p in (Point2(1.5e308, 1.5e308), Point2(1.0, 1.0)):
+    for p in (Point2(1.5e308, 1.5e308), Point2(1.0, 1.0), Point2(1e-300, 1e-300)):
         assert point_on_line(p, axis) and not point_on_perpendicular(p, axis)
         assert dynamics.is_forward_asymptotic(p, p, 1.0)
-    assert scales == [2.0**-1024] * 3 + [1.0] * 3
+    huge, tiny = (math.hypot(*[math.ldexp(v, -k)] * 2) for v, k in ((1.5e308, 1024), (1e-300, -996)))
+    assert sizes == [huge] * 3 + [math.hypot(1.0, 1.0)] * 3 + [tiny] * 3
+    assert 0.5 < huge < 2.0 and 0.5 < tiny < 2.0
+
+
+def _near_line(rng: random.Random, phi: float) -> Point2:
+    # A start on the line at angle phi, moved off it by a relative 1e-12 to
+    # 1e-6 of its norm, or not at all, so that some draws reach the band.
+    r = 10.0 ** rng.uniform(-3.0, 3.0)
+    off = rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
+    return Point2(r * (math.cos(phi) - off * math.sin(phi)), r * (math.sin(phi) + off * math.cos(phi)))
+
+
+def _verdicts(p: Point2, q: Point2, m: ReflectScale, tol: Tolerance) -> tuple:
+    # Every verdict on the start p, and on p and q for asymptoticity; a limit
+    # that is the start itself is written "p".
+    limits = [dynamics.classify_convergence(p, m, t, tol).verdict for t in Topology]
+    return (dynamics.classify_orbit_cardinality(p, m, tol), dynamics.orbit(p, m, 2, tol).cardinality,
+            dynamics.stable_set(p, m.lam, tol), dynamics.is_forward_asymptotic(p, q, m.lam, tol),
+            ["p" if v == ConvergesTo(p) else v for v in limits])
+
+
+def test_a_start_times_a_power_of_two_or_negated_keeps_every_verdict():
+    # T is linear, so the orbit of c * p is c times that of p: for c = 2**k,
+    # k anywhere in the float range, and for c = -1, every verdict stays. The
+    # starts lie near the axis, near its perpendicular or anywhere, at a scale
+    # 2**e anywhere in the float range; q lies within a relative 1e-6 of p.
+    # A draw where 2**e * p or 2**k * 2**e * p is not exact is skipped.
+    rng, checked = random.Random(24), 0
+    for _ in range(3000):
+        phi, tol = rng.uniform(0.0, math.pi), Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
+        lam = rng.choice((0.0, 1.0, -1.0, 1.0 + 1e-10, -1.0 - 3e-10, 2.0, rng.uniform(-3.0, 3.0)))
+        m = _mk(lam, phi)
+        p = rng.choice((_near_line(rng, phi), _near_line(rng, phi + math.pi / 2.0),
+                        Point2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))))
+        q = Point2(p.x + p.norm() * rng.choice((0.0, 1e-12, 1e-9, 1e-6)), p.y)
+        pq = oracles.times_power_of_two((p.x, p.y, q.x, q.y), rng.randint(-1070, 1020))
+        cpq = pq and oracles.times_power_of_two(pq, rng.randint(-1074, 1023))
+        if not cpq:
+            continue
+        checked += 1
+        p, q = Point2(*pq[:2]), Point2(*pq[2:])
+        want = _verdicts(p, q, m, tol)
+        for cp, cq in ((Point2(*cpq[:2]), Point2(*cpq[2:])), (Point2(-p.x, -p.y), Point2(-q.x, -q.y))):
+            assert _verdicts(cp, cq, m, tol) == want, (p, q, cp, lam, phi, tol)
+    assert checked > 1000
 
 
 def test_a_start_whose_norm_overflows_gets_the_verdicts_of_its_half():
@@ -630,7 +681,7 @@ _ON_AXIS = ReflectScale(1.0, AxisLine(0.5))
 ], ids=["on-line", "on-perpendicular", "cardinality", "discrete", "usual", "asymptotic"])
 def test_a_distance_that_is_not_finite_decides_nothing(verdict, expected):
     # The distance to the line, or between the points, is inf here, and so is
-    # the bound eps * (1 + |p|); a distance that is not finite is never
+    # the bound eps * |p|; a distance that is not finite is never
     # negligible, so no start at infinity is a fixed point.
     assert verdict() == expected
 

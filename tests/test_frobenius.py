@@ -268,7 +268,7 @@ def test_witness_is_the_first_pairing_over_the_threshold(n):
             a = SymMatN.from_matrix(m)
         else:
             a = _spread(rng, n)
-        thresh = 1e-9 * (1.0 + a.frobenius_norm())
+        thresh = 1e-9 * a.frobenius_norm()
         over = [i for i, b in enumerate(basis) if abs(frobenius.frobenius_inner(b, a)) > thresh]
         assert frobenius.psym_witness(a) == (over[0] if over else None)
 
@@ -308,12 +308,54 @@ def test_distinct_diagonal_does_not_belong():
 
 
 def test_a_pairing_equal_to_the_threshold_does_not_count():
-    # For a = diag(t, 0) this t is exactly eps * (1 + |a|): the test is strict.
-    t = 1.0000000010000002e-09
-    a = SymMatN(2, (t, 0.0, 0.0))
-    assert 1e-9 * (1.0 + a.frobenius_norm()) == t
+    # For a = [[c, 1], [1, c]] with this c, the pairing 2 * a_01 = 2 is
+    # exactly eps * |a|: the test is strict. One ulp less of c puts the
+    # threshold below 2, and the off-diagonal unit becomes the witness.
+    c = 1414213562.373095
+    a = SymMatN(2, (c, 1.0, c))
+    assert 1e-9 * a.frobenius_norm() == 2.0
     assert frobenius.psym_witness(a) is None
     assert frobenius.is_scalar_matrix(a)
+    below = SymMatN(2, (math.nextafter(c, 0.0), 1.0, math.nextafter(c, 0.0)))
+    assert frobenius.psym_witness(below) == 1
+
+
+def _psym_verdict(flat, n, tol):
+    # Psym membership, or "not symmetric" where from_matrix refuses.
+    try:
+        a = SymMatN.from_matrix([flat[i:i + n] for i in range(0, n * n, n)], tol)
+    except core.NotSymmetricError:
+        return "not symmetric"
+    return frobenius.is_in_psym(a, tol)
+
+
+def test_a_matrix_times_a_power_of_two_keeps_psym_membership():
+    # Psym is a subspace, so 2**k * A, k anywhere in the float range, is a
+    # member, or symmetric, exactly when A is. The matrices are c * I moved
+    # by a relative 1e-12 to 1e-6 in a few entries, mirrored or not, or
+    # anywhere, at a scale 2**e anywhere in the float range. A draw where
+    # 2**e * A or 2**k * 2**e * A is not exact is skipped.
+    rng, checked, members = random.Random(26), 0, 0
+    for _ in range(2000):
+        n, tol = rng.randint(2, 6), core.Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
+        c = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        rows = [[c * (i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0) * abs(c)
+            if rng.random() < 0.8:
+                rows[j][i] = rows[i][j]
+        if rng.random() < 0.2:
+            rows = [[rng.uniform(-5.0, 5.0) for _ in range(n)] for _ in range(n)]
+        base = oracles.times_power_of_two([x for row in rows for x in row], rng.randint(-1070, 1020))
+        scaled = base and oracles.times_power_of_two(base, rng.randint(-1074, 1023))
+        if not scaled:
+            continue
+        checked += 1
+        want = _psym_verdict(base, n, tol)
+        assert _psym_verdict(scaled, n, tol) == want, (n, base, scaled, tol)
+        members += want is True
+    assert checked > 700 and 0.2 * checked < members < 0.8 * checked
 
 
 @pytest.mark.parametrize("packed,member", [
@@ -326,7 +368,7 @@ def test_a_pairing_equal_to_the_threshold_does_not_count():
     ((1e300, 0.0, 1e300 * (1.0 + 1e-8)), False),
 ])
 def test_membership_with_entries_beyond_the_norm_range(packed, member):
-    # |a| overflows here, so the threshold eps * (1 + |a|) is taken in
+    # |a| overflows here, so the threshold eps * |a| is taken in
     # coordinates scaled by a power of two instead of becoming inf; no
     # overflow warning is raised (pytest turns them into errors).
     a = SymMatN(2, packed)
@@ -339,7 +381,7 @@ def test_membership_with_entries_beyond_the_norm_range(packed, member):
 def test_membership_matches_scalar_test(n, data):
     # The theorem against an exact oracle: c * I, perhaps perturbed in a few
     # mirrored entries. On small integers every nonzero pairing is at least
-    # 1, far above eps * (1 + |a|), so no verdict is near the band.
+    # 1, far above eps * |a|, so no verdict is near the band.
     c, index = data.draw(st.integers(-9, 9)), st.integers(0, n - 1)
     rows = [[c if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j, delta in data.draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
