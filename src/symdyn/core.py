@@ -327,11 +327,12 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     small, and only the zero matrix, -0.0 entries included, gives (0, 0).
     """
     x, p, q, y = _as_matrix2(m)
-    top = max(abs(x), abs(p), abs(q), abs(y))
-    if not tol.negligible(p - q, top):
+    k = _rescale_exponent((x, p, q, y))  # so that eps * top does not underflow
+    top = math.ldexp(max(abs(x), abs(p), abs(q), abs(y)), -k)
+    if not tol.negligible(math.ldexp(p - q, -k), top):
         raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
     trace = x + y
-    if not tol.negligible(trace, top):
+    if not tol.negligible(math.ldexp(trace, -k), top):
         raise NotTraceZeroError(f"not trace zero: trace is {trace}")
     a, b = _half_sum(x, -y), _half_sum(p, q)
     lam = math.hypot(a, b)

@@ -54,16 +54,17 @@ class SymMatN:
             raise ValueError("expected a square matrix") from None
         except OverflowError:  # an int beyond the float range
             raise ValueError("entries must be finite") from None
-        n = len(rows)
+        n, flat = len(rows), [x for row in rows for x in row]
         if any(len(row) != n for row in rows):
             raise ValueError("expected a square matrix")
-        if not all(math.isfinite(x) for row in rows for x in row):
+        if not all(map(math.isfinite, flat)):
             raise ValueError("entries must be finite")
-        packed, top = [], max(abs(x) for row in rows for x in row)
+        k = _rescale_exponent(flat)  # so that eps * top does not underflow
+        packed, top = [], math.ldexp(max(map(abs, flat)), -k)
         for i in range(n):
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]
-                if not tol.negligible(x - y, top):
+                if not tol.negligible(math.ldexp(x - y, -k), top):
                     raise NotSymmetricError(
                         f"not symmetric: entries ({i},{j}) and ({j},{i}) differ"
                     )

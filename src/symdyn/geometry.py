@@ -77,11 +77,9 @@ def apply_T(m: ReflectScale, p: Point2) -> Point2:
 def _in_range(*points: Point2) -> tuple[Point2, ...]:
     # The points times 2**-k, k = core._rescale_exponent of their coordinates:
     # where they would overflow or underflow a norm or product, in coordinates
-    # where neither does, as in frobenius.scaled; the points as given otherwise.
+    # where neither does, as in frobenius.scaled; k = 0 keeps them bit for bit.
     k = _rescale_exponent([c for p in points for c in (p.x, p.y)])
-    if k:
-        return tuple(Point2(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in points)
-    return points
+    return tuple(Point2(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in points)
 
 
 def point_on_line(p: Point2, axis: AxisLine, tol: Tolerance = DEFAULT_TOL) -> bool:

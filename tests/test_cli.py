@@ -240,20 +240,21 @@ def test_orbit_csv_schema(capsys):
     assert "convergence[Usual] = ConvergesTo (0, 0)" in out
 
 
-@pytest.mark.parametrize("y,size", [("1e-13", 1), ("1e-11", 2)])
-def test_orbit_and_classify_print_the_same_cardinality(capsys, y, size):
+def test_orbit_and_classify_print_the_same_cardinality(capsys):
     # 1e-13 off the axis is 1e-10 of |p|, on the axis within tol; the orbit's
     # reflections move the point by 2e-13, which must not turn it into a
     # two-point orbit. 1e-11 is 1e-8 of |p|, off the axis at every scale: its
     # trace flips the sign of y at each step, a two-point orbit.
-    args = ("1e-3", y, "--lambda", "1", "--axis", "0")
-    _, orbit_out, _ = run(capsys, "orbit", *args, "--iters", "4")
-    _, classify_out, _ = run(capsys, "classify", *args)
-    line = f"cardinality = Finite({size})\n"
-    assert line in orbit_out and line in classify_out
-    orbit_rec = run_json(capsys, "orbit", *args, "--iters", "4")
-    classify_rec = run_json(capsys, "classify", *args)
-    assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {"kind": "Finite", "size": size}
+    for y, size in (("1e-13", 1), ("1e-11", 2)):
+        args = ("1e-3", y, "--lambda", "1", "--axis", "0")
+        _, orbit_out, _ = run(capsys, "orbit", *args, "--iters", "4")
+        _, classify_out, _ = run(capsys, "classify", *args)
+        line = f"cardinality = Finite({size})\n"
+        assert line in orbit_out and line in classify_out
+        orbit_rec = run_json(capsys, "orbit", *args, "--iters", "4")
+        classify_rec = run_json(capsys, "classify", *args)
+        assert orbit_rec["cardinality"] == classify_rec["cardinality"] == {
+            "kind": "Finite", "size": size}
 
 
 @pytest.mark.parametrize("cmd", ["classify", "orbit"])

@@ -382,10 +382,10 @@ def _decompose_verdict(entries, tol):
 def test_a_matrix_times_a_power_of_two_keeps_decompose_verdict_and_negated_turns_by_pi():
     # Sym_2^0 is a subspace, so 2**k * A, k anywhere in the float range, is
     # accepted exactly when A is; -A keeps lam bit for bit and turns theta by
-    # pi, within 2 ulps of 2 * pi. The matrices lie within a relative 1e-12
-    # to 1e-6 of symmetric trace zero, or anywhere, at a scale 2**e anywhere
-    # in the float range. A draw where 2**e * A or 2**k * 2**e * A is not
-    # exact is skipped.
+    # pi, within 2 ulps of 2 * pi, unless A is zero. The matrices lie within a relative 1e-12
+    # to 1e-6 of symmetric trace zero, or anywhere, rounded to a scale 2**e
+    # anywhere in the float range, subnormals included. A draw where 2**k * A
+    # is not exact is skipped.
     rng, checked, accepted = random.Random(25), 0, 0
     for _ in range(4000):
         tol = core.Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
@@ -394,8 +394,9 @@ def test_a_matrix_times_a_power_of_two_keeps_decompose_verdict_and_negated_turns
         near = [rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -6.0) * lam for _ in "xy"]
         entries = rng.choice(([a, b + near[0], b, -a + near[1]],
                               [rng.uniform(-5.0, 5.0) for _ in range(4)]))
-        base = oracles.times_power_of_two(entries, rng.randint(-1070, 1020))
-        scaled = base and oracles.times_power_of_two(base, rng.randint(-1074, 1023))
+        e = rng.randint(-1100, 1010)
+        base = [math.ldexp(v, e) for v in entries]
+        scaled = oracles.times_power_of_two(base, rng.randint(-1074, 1023))
         if not scaled:
             continue
         want, got = _decompose_verdict(base, tol), _decompose_verdict(scaled, tol)
@@ -408,9 +409,29 @@ def test_a_matrix_times_a_power_of_two_keeps_decompose_verdict_and_negated_turns
             accepted += 1
             neg = _decompose_verdict([-v for v in base], tol)
             assert neg.lam == want.lam, base
+            if not want.lam:  # the zero matrix, whose theta is 0
+                continue
             turn = (Fraction(neg.theta) - Fraction(want.theta) - Fraction(math.pi)) % Fraction(core.TAU)
             assert min(turn, Fraction(core.TAU) - turn) <= 2 * math.ulp(core.TAU), base
     assert checked > 1500 and 0.2 * checked < accepted < 0.8 * checked
+
+
+def test_a_subnormal_matrix_is_judged_as_its_multiples_are():
+    # With the largest entry 2**33 subnormal ulps, eps * top is 8.59 ulps,
+    # which the subnormal grid would round to 9 and so take an asymmetry of 9
+    # ulps as negligible. Both preconditions compare in coordinates rescaled
+    # by a power of two, as the 2**600 multiple does: 9 ulps are refused at
+    # both scales, and 8 ulps pass at both.
+    u = 5e-324
+    for c in (0, 600):
+        for d, symmetric in ((9 * u, False), (8 * u, True)):
+            rows = [[math.ldexp(v, c) for v in row] for row in ((2**33 * u, d), (0.0, -2**33 * u))]
+            for ingest in (core.decompose, SymMatN.from_matrix):
+                if symmetric:
+                    ingest(rows)
+                else:
+                    with pytest.raises(core.NotSymmetricError):
+                        ingest(rows)
 
 
 def test_array_returning_functions_return_ndarrays():

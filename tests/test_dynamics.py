@@ -616,9 +616,10 @@ def _verdicts(p: Point2, q: Point2, m: ReflectScale, tol: Tolerance) -> tuple:
 def test_a_start_times_a_power_of_two_or_negated_keeps_every_verdict():
     # T is linear, so the orbit of c * p is c times that of p: for c = 2**k,
     # k anywhere in the float range, and for c = -1, every verdict stays. The
-    # starts lie near the axis, near its perpendicular or anywhere, at a scale
-    # 2**e anywhere in the float range; q lies within a relative 1e-6 of p.
-    # A draw where 2**e * p or 2**k * 2**e * p is not exact is skipped.
+    # starts lie near the axis, near its perpendicular or anywhere, rounded
+    # to a scale 2**e anywhere in the float range, subnormals included; q lies
+    # within a relative 1e-6 of p. A draw where 2**k * p is not exact is
+    # skipped.
     rng, checked = random.Random(24), 0
     for _ in range(3000):
         phi, tol = rng.uniform(0.0, math.pi), Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
@@ -627,8 +628,9 @@ def test_a_start_times_a_power_of_two_or_negated_keeps_every_verdict():
         p = rng.choice((_near_line(rng, phi), _near_line(rng, phi + math.pi / 2.0),
                         Point2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))))
         q = Point2(p.x + p.norm() * rng.choice((0.0, 1e-12, 1e-9, 1e-6)), p.y)
-        pq = oracles.times_power_of_two((p.x, p.y, q.x, q.y), rng.randint(-1070, 1020))
-        cpq = pq and oracles.times_power_of_two(pq, rng.randint(-1074, 1023))
+        e = rng.randint(-1100, 1010)
+        pq = [math.ldexp(v, e) for v in (p.x, p.y, q.x, q.y)]
+        cpq = oracles.times_power_of_two(pq, rng.randint(-1074, 1023))
         if not cpq:
             continue
         checked += 1

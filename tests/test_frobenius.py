@@ -333,8 +333,8 @@ def test_a_matrix_times_a_power_of_two_keeps_psym_membership():
     # Psym is a subspace, so 2**k * A, k anywhere in the float range, is a
     # member, or symmetric, exactly when A is. The matrices are c * I moved
     # by a relative 1e-12 to 1e-6 in a few entries, mirrored or not, or
-    # anywhere, at a scale 2**e anywhere in the float range. A draw where
-    # 2**e * A or 2**k * 2**e * A is not exact is skipped.
+    # anywhere, rounded to a scale 2**e anywhere in the float range,
+    # subnormals included. A draw where 2**k * A is not exact is skipped.
     rng, checked, members = random.Random(26), 0, 0
     for _ in range(2000):
         n, tol = rng.randint(2, 6), core.Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
@@ -347,8 +347,9 @@ def test_a_matrix_times_a_power_of_two_keeps_psym_membership():
                 rows[j][i] = rows[i][j]
         if rng.random() < 0.2:
             rows = [[rng.uniform(-5.0, 5.0) for _ in range(n)] for _ in range(n)]
-        base = oracles.times_power_of_two([x for row in rows for x in row], rng.randint(-1070, 1020))
-        scaled = base and oracles.times_power_of_two(base, rng.randint(-1074, 1023))
+        e = rng.randint(-1100, 1010)
+        base = [math.ldexp(x, e) for row in rows for x in row]
+        scaled = oracles.times_power_of_two(base, rng.randint(-1074, 1023))
         if not scaled:
             continue
         checked += 1
