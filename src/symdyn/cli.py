@@ -384,9 +384,8 @@ def cmd_psym(args) -> int:
     values = [float(t) for t in tokens[1:]]
     a = SymMatN.from_matrix([values[i:i + n] for i in range(0, n * n, n)], tol)
     if is_in_psym(a, tol):
-        # summed where scaled(a) rescales, as the diagonal's sum could overflow
-        b, k, _ = scaled(a)
-        c = math.ldexp(b.trace() / n, k)
+        b, k, _ = scaled(a)  # summed scaled where the diagonal's sum could overflow
+        c = math.ldexp(b.trace() / n, k) if k > 0 else a.trace() / n  # a subnormal c rounds once
         return _emit({"member": True, "n": n, "c": c}, args.json, ("n",))
     witness = sym0_basis(n)[psym_witness(a, tol)]
     trace = frobenius_inner(witness, a)

@@ -327,8 +327,9 @@ def decompose(m, tol: Tolerance = DEFAULT_TOL) -> TraceZeroSym2:
     small, and only the zero matrix, -0.0 entries included, gives (0, 0).
     """
     x, p, q, y = _as_matrix2(m)
-    k = _rescale_exponent((x, p, q, y))  # so that eps * top does not underflow
-    top = math.ldexp(max(abs(x), abs(p), abs(q), abs(y)), -k)
+    top = max(abs(x), abs(p), abs(q), abs(y))
+    k = _rescale_exponent((top,))  # so that eps * top does not underflow
+    top = math.ldexp(top, -k)
     if not tol.negligible(math.ldexp(p - q, -k), top):
         raise NotSymmetricError(f"not symmetric: off-diagonal entries {p} and {q} differ")
     trace = x + y

@@ -59,8 +59,9 @@ class SymMatN:
             raise ValueError("expected a square matrix")
         if not all(map(math.isfinite, flat)):
             raise ValueError("entries must be finite")
-        k = _rescale_exponent(flat)  # so that eps * top does not underflow
-        packed, top = [], math.ldexp(max(map(abs, flat)), -k)
+        top = max(map(abs, flat), default=0.0)
+        k = _rescale_exponent((top,))  # so that eps * top does not underflow
+        packed, top = [], math.ldexp(top, -k)
         for i in range(n):
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]

@@ -1,7 +1,4 @@
-import contextlib
 import hashlib
-import importlib.util
-import io
 import json
 import math
 import os
@@ -17,6 +14,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import cli_digest
 import oracles
 from symdyn import cli
 from symdyn.cli import main
@@ -766,6 +764,20 @@ def test_psym_norm_overflow_band(capsys, tmp_path):
     assert run_json(capsys, "psym", path) == {"member": True, "n": 2, "c": 1e308}
 
 
+def test_psym_subnormal_c_is_rounded_once(capsys, tmp_path):
+    # A member whose c is subnormal: trace / n is rounded once, onto the
+    # subnormal grid. Divided in rescaled coordinates, then rescaled by
+    # ldexp, it would be rounded twice and come out one unit off.
+    ulps = [1226428042755801, 1226428042755806, 1226428042755805, 1226428042755801,
+            1226428042755804]
+    diagonal = [math.ldexp(u, -1074) for u in ulps]
+    rows = [" ".join(repr(d) if i == j else "0" for j in range(5)) for i, d in enumerate(diagonal)]
+    path = _write(tmp_path, "m.txt", "5\n" + "\n".join(rows))
+    c = float(Fraction(sum(ulps), 5) * Fraction(2) ** -1074)
+    assert c < sys.float_info.min
+    assert run_json(capsys, "psym", path) == {"member": True, "n": 5, "c": c}
+
+
 # --- ortho-classify -----------------------------------------------------------------
 
 
@@ -1218,7 +1230,6 @@ def _whole_range_argv(rng: random.Random, command: str, tmp_path) -> list[str]:
 WHOLE_RANGE = GOLDEN / "wholerange.sha256"
 WHOLE_RANGE_COMMANDS = ("decompose", "build", "orbit", "classify", "psym", "ortho-classify",
                         "compose")
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def _whole_range_runs(tmp_path):
@@ -1228,9 +1239,8 @@ def _whole_range_runs(tmp_path):
     One seeded stream picks each command and each command draws its argv from
     a stream of its own, so a command's argv do not depend on which others
     run. compose loads numpy: where it is missing, a compose argv is drawn but
-    not run, and its code and digest are None. The digest is that of
-    golden/rounds.sha256: argv, exit code, stdout, stderr and the --out and
-    --svg files, with tmp_path written as {tmp}.
+    not run, and its code and digest are None. The digest is cli_digest's, as
+    in golden/rounds.sha256, with tmp_path written as {tmp}.
     """
     pick = random.Random(2024)
     streams = {c: random.Random(f"{c}/2024") for c in WHOLE_RANGE_COMMANDS}
@@ -1238,27 +1248,16 @@ def _whole_range_runs(tmp_path):
     for index in range(1500):
         command = pick.choice(WHOLE_RANGE_COMMANDS)
         argv = _whole_range_argv(streams[command], command, tmp_path)
-        if command == "compose" and not HAS_NUMPY:
+        if command == "compose" and not cli_digest.HAS_NUMPY:
             yield index, argv, None, "", "", None
             continue
         for path in written:
             path.unlink(missing_ok=True)
-        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            code, out, err, digest = cli_digest.run(argv, tmp)
         except Exception as exc:
             raise AssertionError(f"{argv} raised {exc!r}") from exc
-        out, err = out.getvalue(), err.getvalue()
-        parts = [s.replace(tmp, "{tmp}").encode() for s in (" ".join(argv), str(code), out, err)]
-        for flag in ("--out", "--svg"):
-            if flag in argv:
-                path = pathlib.Path(argv[argv.index(flag) + 1])
-                parts.append(path.read_bytes() if path.exists() else None)
-        h = hashlib.sha256()
-        for data in parts:  # each part led by its length; "-" for a file not written
-            h.update(b"-\n" if data is None else b"%d\n" % len(data) + data)
-        yield index, argv, code, out, err, h.hexdigest()
+        yield index, argv, code, out, err, digest
 
 
 def test_whole_float_range_gives_an_answer_or_exit_2(tmp_path):
@@ -1297,7 +1296,7 @@ def test_whole_float_range_gives_an_answer_or_exit_2(tmp_path):
             text = svg.read_text().lower()
             assert "nan" not in text and "inf" not in text, argv
     # every command both answered and refused some input
-    commands = [c for c in WHOLE_RANGE_COMMANDS if HAS_NUMPY or c != "compose"]
+    commands = [c for c in WHOLE_RANGE_COMMANDS if cli_digest.HAS_NUMPY or c != "compose"]
     assert codes >= {(c, k) for c in commands for k in (0, 2)}, sorted(codes)
     assert not moved, "output bytes moved:\n" + "\n".join(moved)
 

@@ -72,6 +72,21 @@ def test_from_matrix_rejects_what_is_no_square_matrix_of_floats(m):
         SymMatN.from_matrix(m)
 
 
+@pytest.mark.parametrize("m,message", [
+    ([], "n must be at least 2"),
+    (np.empty((0, 0)), "n must be at least 2"),
+    ([[1.0]], "n must be at least 2"),
+    ([[1e-320]], "n must be at least 2"),
+    ([[]], "expected a square matrix"),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0]], "expected a square matrix"),
+    ([[math.inf]], "entries must be finite"),
+], ids=["empty-list", "empty-array", "1x1", "1x1-subnormal", "1x0", "2x3", "1x1-inf"])
+def test_from_matrix_names_what_is_wrong(m, message):
+    with pytest.raises(ValueError) as caught:
+        SymMatN.from_matrix(m)
+    assert str(caught.value) == message
+
+
 def test_from_matrix_reads_an_ndarray_as_its_rows():
     m = np.array([[1.5, -2.0, 0.25], [-2.0, 3.0, 1e-300], [0.25, 1e-300, -7.0]])
     a = SymMatN.from_matrix(m)

@@ -61,14 +61,19 @@ def test_reflection_preserves_norm(x, y, phi):
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), axis_angles)
+@example(5e-324, 1.0)
 def test_points_on_axis_are_fixed(t, phi):
-    p = Point2(t * math.cos(phi), t * math.sin(phi))
-    # A subnormal product keeps too few bits of the direction for p to lie on
-    # the axis: (5e-324, 5e-324), made for phi = 1, lies at pi/4.
-    assume(p.norm() == 0.0 or p.norm() >= sys.float_info.min)
-    q = geometry.reflect_point(p, AxisLine(phi))
+    p, axis = Point2(t * math.cos(phi), t * math.sin(phi)), AxisLine(phi)
+    q = geometry.reflect_point(p, axis)
     assert q.distance_to(p) <= 1e-9 * (1.0 + p.norm())
-    assert geometry.point_on_line(p, AxisLine(phi))
+    if p.norm() == 0.0 or p.norm() >= sys.float_info.min:
+        assert geometry.point_on_line(p, axis)
+    else:
+        # A subnormal product keeps too few bits of the direction for p to lie
+        # on the axis: (5e-324, 5e-324), made for phi = 1, lies at pi/4. The
+        # verdict is that of p's exact multiple 2**600 * p, a normal point.
+        big = Point2(math.ldexp(p.x, 600), math.ldexp(p.y, 600))
+        assert geometry.point_on_line(p, axis) == geometry.point_on_line(big, axis)
 
 
 @given(st.floats(min_value=0.1, max_value=50.0, allow_nan=False),

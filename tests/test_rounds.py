@@ -13,21 +13,17 @@ manifest again, and the diff shows which lines moved:
     PYTHONPATH=src python tests/test_rounds.py > tests/golden/rounds.sha256
 """
 
-import contextlib
-import hashlib
 import importlib.util
-import io
 import pathlib
 import sys
 import tempfile
 
 import pytest
 
-from symdyn.cli import main
+from cli_digest import HAS_NUMPY, run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "rounds.sha256"
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 # The orbit-long round takes most of the time, so only its seed 1 runs here.
 ROUNDS = [("cli-short", 1), ("cli-short", 2), ("cli-short", 3), ("psym-large", 1),
           ("psym-large", 2), ("psym-large", 3), ("orbit-long", 1)]
@@ -49,19 +45,7 @@ def replay(workload: str, seed: int, workdir: pathlib.Path):
         if inv.command == "compose" and not HAS_NUMPY:
             yield index, argv, inv.command, None
             continue
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(inv.argv))
-        parts = [s.replace(tmp, "{tmp}").encode()
-                 for s in (" ".join(inv.argv), str(code), out.getvalue(), err.getvalue())]
-        for flag in ("--out", "--svg"):
-            if flag in inv.argv:
-                path = pathlib.Path(inv.argv[inv.argv.index(flag) + 1])
-                parts.append(path.read_bytes() if path.exists() else None)
-        h = hashlib.sha256()
-        for data in parts:  # each part led by its length; "-" for a file not written
-            h.update(b"-\n" if data is None else b"%d\n" % len(data) + data)
-        yield index, argv, inv.command, h.hexdigest()
+        yield index, argv, inv.command, run(inv.argv, tmp)[3]
 
 
 @pytest.mark.parametrize("workload,seed", ROUNDS)
